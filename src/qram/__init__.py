@@ -56,10 +56,10 @@ from .weighted import (
     DerivationRules,
     WeightedPoly,
     canonicalize,
+    classical_to_hahn,
     derive,
     eval_as_series,
     family_rules,
-    hahn_to_classical,
     phi_poly,
     pretty,
     ratio_poly,
@@ -67,58 +67,3 @@ from .weighted import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DivisorKind",
-    "bernoulli",
-    "boundary_value",
-    "convolution",
-    "convolution_sequence",
-    "divisor_sum",
-    "divisor_sum_table",
-    "extrapolated_boundary",
-    "eisenstein",
-    "eps0",
-    "family",
-    "fneg",
-    "hahn",
-    "phi_series",
-    "pochhammer",
-    "psi0",
-    "series_by_name",
-    "theta_f",
-    "varphi",
-    "Identity",
-    "RunConfig",
-    "VerifyReport",
-    "lookup",
-    "registry",
-    "verify_all",
-    "verify_convolution",
-    "verify_numeric",
-    "verify_one",
-    "verify_series",
-    "SpecialValue",
-    "SPECIALS",
-    "check_all_specials",
-    "check_special",
-    "gamma_quarter",
-    "gamma_three_quarters",
-    "Series",
-    "from_coeffs",
-    "product_expansion",
-    "rational_str",
-    "to_text",
-    "CLASSICAL_RULES",
-    "HAHN_RULES",
-    "DerivationRules",
-    "WeightedPoly",
-    "canonicalize",
-    "derive",
-    "eval_as_series",
-    "family_rules",
-    "hahn_to_classical",
-    "phi_poly",
-    "pretty",
-    "ratio_poly",
-    "__version__",
-]

@@ -76,8 +76,7 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _verify_like(args, restrict_kind=None) -> int:
-    config = I.RunConfig(args.order, args.nmax, args.precision)
+def _verify_like(args, config: I.RunConfig, restrict_kind=None) -> int:
     if args.all:
         idents = I.registry()
         if restrict_kind is not None:
@@ -105,11 +104,11 @@ def _verify_like(args, restrict_kind=None) -> int:
 
 
 def _cmd_verify(args) -> int:
-    return _verify_like(args)
+    return _verify_like(args, I.RunConfig(args.order, args.nmax, args.precision))
 
 
 def _cmd_convolve(args) -> int:
-    return _verify_like(args, restrict_kind="convolution")
+    return _verify_like(args, I.RunConfig(n_max=args.nmax), "convolution")
 
 
 def _cmd_eval(args) -> int:
@@ -181,6 +180,13 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qram",
@@ -190,12 +196,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, order=False, nmax=False, precision=False):
         if order:
-            p.add_argument("--order", type=int, default=200, help="series order N")
+            p.add_argument(
+                "--order", type=_nonnegative, default=200, help="series order N"
+            )
         if nmax:
-            p.add_argument("--nmax", type=int, default=100, help="convolution bound")
+            p.add_argument(
+                "--nmax", type=_nonnegative, default=100, help="convolution bound"
+            )
         if precision:
             p.add_argument(
-                "--precision", type=int, default=256, help="precision in bits"
+                "--precision", type=_nonnegative, default=256, help="precision in bits"
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -213,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convolve", help="run divisor-sum convolution checks")
     p.add_argument("--identity", help="a convolution id, e.g. t9")
     p.add_argument("--all", action="store_true", help="all convolution identities")
-    common(p, order=True, nmax=True, precision=True)
+    common(p, nmax=True)
     p.set_defaults(func=_cmd_convolve)
 
     p = sub.add_parser("eval", help="check a closed-form special value")

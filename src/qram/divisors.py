@@ -101,7 +101,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=None)
 def _divisor_sum_positive(kind: DivisorKind, s: int, n: int) -> int:
     total = 0
     for d in _divisors(n):

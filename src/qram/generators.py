@@ -236,17 +236,19 @@ def series_by_name(name: str, order: int) -> S.Series:
         if w < 2 or w % 2:
             raise KeyError(f"series name {name!r}: Eisenstein weight must be even >= 2")
         return eisenstein(w // 2, order)
-    m = _FAMILY_NAME.match(name)
-    if m:
-        try:
+    # a ValueError from family or theta_f (odd T index, zero theta exponent)
+    # means the NAME is invalid
+    try:
+        m = _FAMILY_NAME.match(name)
+        if m:
             return family(m.group(1), int(m.group(2)), order)
-        except ValueError as e:  # e.g. odd T index: the NAME is invalid
-            raise KeyError(f"series name {name!r}: {e}") from None
-    m = _THETA_NAME.match(name)
-    if m:
-        sa = 1 if m.group(1) == "p" else -1
-        sb = 1 if m.group(3) == "p" else -1
-        return theta_f(sa, int(m.group(2)), sb, int(m.group(4)), order)
+        m = _THETA_NAME.match(name)
+        if m:
+            sa = 1 if m.group(1) == "p" else -1
+            sb = 1 if m.group(3) == "p" else -1
+            return theta_f(sa, int(m.group(2)), sb, int(m.group(4)), order)
+    except ValueError as e:
+        raise KeyError(f"series name {name!r}: {e}") from None
     m = _PHI_NAME.match(name)
     if m:
         variant = "tilde" if m.group(1) else "plain"

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import generators as G
 from . import series as S
 from . import weighted as W
-from .divisors import DivisorKind, convolution_sequence, divisor_sum
+from .divisors import DivisorKind, convolution_sequence, divisor_sum, divisor_sum_table
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
 
@@ -103,8 +103,7 @@ def _subst(build: Callable[[int], S.Series], k: int, order: int) -> S.Series:
     return S.substitute_power(build(-(-order // k)), k)
 
 
-def _poly_series(ring: str, spec: dict) -> Callable[[int], S.Series]:
-    poly = W.WeightedPoly(ring, spec)
+def _poly_series(poly: W.WeightedPoly) -> Callable[[int], S.Series]:
     return lambda n: W.eval_as_series(poly, n)
 
 
@@ -149,15 +148,11 @@ def _t12_rhs(n_max: int) -> list:
 
 
 def _cheng_williams_lhs(n_max: int) -> list:
-    out = [Fraction(0)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for m in range(1, n + 1):
-            acc += divisor_sum(PLAIN, 1, 4 * m - 3) * divisor_sum(
-                PLAIN, 1, 4 * n - (4 * m - 3)
-            )
-        out.append(acc)
-    return out
+    sigma = [int(v) for v in divisor_sum_table(PLAIN, 1, 4 * n_max)]
+    return [
+        Fraction(sum(sigma[4 * m - 3] * sigma[4 * (n - m) + 3] for m in range(1, n + 1)))
+        for n in range(n_max + 1)
+    ]
 
 
 def _cheng_williams_rhs(n_max: int) -> list:
@@ -204,7 +199,7 @@ def _parity_reduction(kind: DivisorKind, two_power: bool):
 
 def _series_identities() -> list[Identity]:
     P, Q, R = _eis(1), _eis(2), _eis(3)
-    hP, hE, hQ, hR = _hahn("P"), _hahn("E"), _hahn("Q"), _hahn("R")
+    hE, hQ, hR = _hahn("E"), _hahn("Q"), _hahn("R")
     ids: list[Identity] = []
 
     def serie(id_, statement, source, lhs, rhs):
@@ -212,58 +207,31 @@ def _series_identities() -> list[Identity]:
             Identity(id_, "series", statement, source, lhs=lhs, rhs=rhs)
         )
 
-    # the two differential systems, cross-multiplied to polynomial form
-    serie(
-        "ode.P",
-        "12 q dP/dq = P^2 - Q",
-        "Ramanujan's differential system (1916)",
-        _scaled_euler(P, 12),
-        _poly_series("classical", {(2, 0, 0, 0): 1, (0, 0, 1, 0): -1}),
-    )
-    serie(
-        "ode.Q",
-        "3 q dQ/dq = PQ - R",
-        "Ramanujan's differential system (1916)",
-        _scaled_euler(Q, 3),
-        _poly_series("classical", {(1, 0, 1, 0): 1, (0, 0, 0, 1): -1}),
-    )
-    serie(
-        "ode.R",
-        "2 q dR/dq = PR - Q^2",
-        "Ramanujan's differential system (1916)",
-        _scaled_euler(R, 2),
-        _poly_series("classical", {(1, 0, 0, 1): 1, (0, 0, 2, 0): -1}),
-    )
-    serie(
-        "ode.hP",
-        "4 q dP~/dq = P~^2 - Q~",
-        "Hahn (2007), signed differential system",
-        _scaled_euler(hP, 4),
-        _poly_series("hahn", {(2, 0, 0, 0): 1, (0, 0, 1, 0): -1}),
-    )
-    serie(
-        "ode.hE",
-        "2 q dE~/dq = P~E~ - Q~",
-        "Hahn (2007), signed differential system",
-        _scaled_euler(hE, 2),
-        _poly_series("hahn", {(1, 1, 0, 0): 1, (0, 0, 1, 0): -1}),
-    )
-    serie(
-        "ode.hQ",
-        "q dQ~/dq = P~Q~ - E~Q~",
-        "Hahn (2007), signed differential system",
-        _scaled_euler(hQ, 1),
-        _poly_series("hahn", {(1, 0, 1, 0): 1, (0, 1, 1, 0): -1}),
-    )
-    serie(
-        "ode.hR",
-        "8 q dR~/dq = 12 P~R~ - 4 Q~^2 - 8 E~R~",
-        "derived from the signed system via R~ = E~Q~",
-        _scaled_euler(hR, 8),
-        _poly_series(
-            "hahn", {(1, 0, 0, 1): 12, (0, 0, 2, 0): -4, (0, 1, 0, 1): -8}
-        ),
-    )
+    def text(poly: W.WeightedPoly) -> str:
+        return W.pretty(poly, ascii_letters=True)
+
+    # the two differential systems, read off the rules derive() uses:
+    # c q dX/dq = (image of X under the rules rescaled to c)
+    ramanujan = "Ramanujan's differential system (1916)"
+    signed = "Hahn (2007), signed differential system"
+    for rules, name, c, source in (
+        (W.CLASSICAL_RULES, "P", 12, ramanujan),
+        (W.CLASSICAL_RULES, "Q", 3, ramanujan),
+        (W.CLASSICAL_RULES, "R", 2, ramanujan),
+        (W.HAHN_RULES, "P", 4, signed),
+        (W.HAHN_RULES, "E", 2, signed),
+        (W.HAHN_RULES, "Q", 1, signed),
+        (W.HAHN_RULES, "R", 8, "derived from the signed system via R~ = E~Q~"),
+    ):
+        x = W.gen(rules.ring, name)
+        image = rules.rescaled(c).images[name]
+        serie(
+            f"ode.{'h' if rules.ring == 'hahn' else ''}{name}",
+            f"{'' if c == 1 else f'{c} '}q d{text(x)}/dq = {text(image)}",
+            source,
+            _scaled_euler(_poly_series(x), c),
+            _poly_series(image),
+        )
     serie(
         "hahn.R_eq_EQ",
         "R~ = E~ Q~",
@@ -273,29 +241,16 @@ def _series_identities() -> list[Identity]:
     )
 
     # classical generators in the signed ring
-    serie(
-        "lemma1.P",
-        "P = 3 P~ - 2 E~",
-        "generator substitution lemma (cf. Hahn 2007)",
-        P,
-        lambda n: S.sub(S.scale(3, hP(n)), S.scale(2, hE(n))),
-    )
-    serie(
-        "lemma1.Q",
-        "Q = 4 E~^2 - 3 Q~",
-        "generator substitution lemma (cf. Hahn 2007)",
-        Q,
-        lambda n: S.sub(S.scale(4, S.mul(hE(n), hE(n))), S.scale(3, hQ(n))),
-    )
-    serie(
-        "lemma1.R",
-        "R = -8 E~^3 + 9 R~",
-        "generator substitution lemma (cf. Hahn 2007)",
-        R,
-        lambda n: S.add(
-            S.scale(-8, S.mul(S.mul(hE(n), hE(n)), hE(n))), S.scale(9, hR(n))
-        ),
-    )
+    for name in "PQR":
+        x = W.gen("classical", name)
+        image = W.classical_to_hahn(x)
+        serie(
+            f"lemma1.{name}",
+            f"{name} = {text(image)}",
+            "generator substitution lemma (cf. Hahn 2007)",
+            _poly_series(x),
+            _poly_series(image),
+        )
 
     # family ratio tables, cross-multiplied: X_{2n} = ratio * X_0
     for n in range(1, 5):
@@ -317,7 +272,7 @@ def _series_identities() -> list[Identity]:
     for n in range(1, 4):
         serie(
             f"t3.psi{2*n}",
-            f"psi_{2*n} = ({W.pretty(W.ratio_poly('psi', n), ascii_letters=True)}) * psi_0",
+            f"psi_{2*n} = ({text(W.ratio_poly('psi', n))}) * psi_0",
             "signed-ring analogue of the triangular table",
             (lambda m, nn=n: G.family("psi", 2 * nn, m)),
             _ratio_rhs("psi", n, 0),
@@ -325,7 +280,7 @@ def _series_identities() -> list[Identity]:
     for n in (1, 2):
         serie(
             f"t4.eps{2*n+1}",
-            f"eps_{2*n+1} = ({W.pretty(W.ratio_poly('eps', n), ascii_letters=True)}) * eps_1",
+            f"eps_{2*n+1} = ({text(W.ratio_poly('eps', n))}) * eps_1",
             "signed-ring analogue on unsigned pentagonal exponents",
             (lambda m, nn=n: G.family("eps", 2 * nn + 1, m)),
             _ratio_rhs("eps", n, 1),
@@ -363,41 +318,25 @@ def _series_identities() -> list[Identity]:
             mixed_rhs(fam),
         )
 
-    # Ramanujan's Phi table
-    phi_table = [
-        ("phi.1_2", 288, (1, 2), {(0, 0, 1, 0): 1, (2, 0, 0, 0): -1}, "288 Phi_{1,2} = Q - P^2"),
-        ("phi.1_4", 720, (1, 4), {(1, 0, 1, 0): 1, (0, 0, 0, 1): -1}, "720 Phi_{1,4} = PQ - R"),
-        ("phi.1_6", 1008, (1, 6), {(0, 0, 2, 0): 1, (1, 0, 0, 1): -1}, "1008 Phi_{1,6} = Q^2 - PR"),
-        ("phi.2_3", 1728, (2, 3), {(1, 0, 1, 0): 3, (0, 0, 0, 1): -2, (3, 0, 0, 0): -1}, "1728 Phi_{2,3} = 3PQ - 2R - P^3"),
-        ("phi.2_5", 1728, (2, 5), {(2, 0, 1, 0): 1, (1, 0, 0, 1): -2, (0, 0, 2, 0): 1}, "1728 Phi_{2,5} = P^2 Q - 2PR + Q^2"),
-        ("phi.2_7", 1728, (2, 7), {(1, 0, 2, 0): 2, (2, 0, 0, 1): -1, (0, 0, 1, 1): -1}, "1728 Phi_{2,7} = 2PQ^2 - P^2 R - QR"),
-    ]
-    for key, mult, (r_, s_), spec, stmt in phi_table:
-        serie(
-            key,
-            stmt,
-            "Ramanujan (1916), Phi table",
-            (lambda n, m=mult, rr=r_, ss=s_: S.scale(m, G.phi_series("plain", rr, ss, n))),
-            _poly_series("classical", spec),
-        )
-
-    # the signed Phi~ table
-    tr_table = [
-        ("tr.1_2", 32, (1, 2), {(2, 0, 0, 0): 1, (0, 0, 1, 0): -1}, "32 Phi~_{1,2} = P~^2 - Q~"),
-        ("tr.1_4", 16, (1, 4), {(1, 0, 1, 0): -1, (0, 0, 0, 1): 1}, "16 Phi~_{1,4} = -P~Q~ + R~"),
-        ("tr.1_6", 16, (1, 6), {(1, 0, 0, 1): 3, (0, 0, 2, 0): -1, (0, 1, 0, 1): -2}, "16 Phi~_{1,6} = 3P~R~ - Q~^2 - 2E~R~"),
-        ("tr.2_3", 64, (2, 3), {(3, 0, 0, 0): 1, (1, 0, 1, 0): -3, (0, 0, 0, 1): 2}, "64 Phi~_{2,3} = P~^3 - 3P~Q~ + 2R~"),
-        ("tr.2_5", 64, (2, 5), {(2, 0, 1, 0): -5, (0, 0, 2, 0): -1, (1, 0, 0, 1): 10, (0, 1, 0, 1): -4}, "64 Phi~_{2,5} = -5P~^2Q~ - Q~^2 + 10P~R~ - 4E~R~"),
-        ("tr.2_7", 64, (2, 7), {(2, 0, 0, 1): 21, (0, 0, 1, 1): 13, (1, 0, 2, 0): -14, (1, 1, 0, 1): -28, (0, 2, 0, 1): 8}, "64 Phi~_{2,7} = 21P~^2R~ + 13Q~R~ - 14P~Q~^2 - 28P~E~R~ + 8E~^2R~"),
-    ]
-    for key, mult, (r_, s_), spec, stmt in tr_table:
-        serie(
-            key,
-            stmt,
-            "signed analogue of the Phi table",
-            (lambda n, m=mult, rr=r_, ss=s_: S.scale(m, G.phi_series("tilde", rr, ss, n))),
-            _poly_series("hahn", spec),
-        )
+    # Ramanujan's Phi table and its signed analogue, cleared of denominators
+    phi_indices = ((1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (2, 7))
+    for variant, key, name, source, mults in (
+        ("plain", "phi", "Phi", "Ramanujan (1916), Phi table",
+         (288, 720, 1008, 1728, 1728, 1728)),
+        ("tilde", "tr", "Phi~", "signed analogue of the Phi table",
+         (32, 16, 16, 64, 64, 64)),
+    ):
+        for (r, s), mult in zip(phi_indices, mults):
+            poly = W.phi_poly(variant, r, s).scale(mult)
+            serie(
+                f"{key}.{r}_{s}",
+                f"{mult} {name}_{{{r},{s}}} = {text(poly)}",
+                source,
+                lambda n, v=variant, m=mult, rr=r, ss=s: S.scale(
+                    m, G.phi_series(v, rr, ss, n)
+                ),
+                _poly_series(poly),
+            )
 
     # higher Eisenstein weights as products
     serie("e8.square", "E_8 = Q^2", "classical Eisenstein relation", _eis(4),
@@ -493,7 +432,7 @@ def _series_identities() -> list[Identity]:
         "E_8(q) - 16 E_8(q^2) = 15 E~^4 - 30 E~ R~",
         "derived: weight-8 doubling in the signed generators",
         lambda n: S.sub(_eis(4)(n), S.scale(16, S.truncate(_subst(_eis(4), 2, n), n))),
-        lambda n: _poly_series("hahn", {(0, 4, 0, 0): 15, (0, 1, 0, 1): -30})(n),
+        _poly_series(W.WeightedPoly("hahn", {(0, 4, 0, 0): 15, (0, 1, 0, 1): -30})),
     )
     serie(
         "sigma.two_hat",
@@ -698,13 +637,16 @@ def verify_numeric(ident: Identity | str, precision: int) -> VerifyReport:
     from . import numeric
 
     ident = _resolve(ident, "numeric-ref")
-    rep = numeric.check_special(ident.numeric_id, precision)
+    return numeric_report(ident.id, numeric.check_special(ident.numeric_id, precision))
+
+
+def numeric_report(id_: str, rep: dict) -> VerifyReport:
+    """The registry report for one numeric.check_special result."""
+    precision = rep["precision_bits"]
     failure = None
     if rep["status"] != "pass":
         failure = {"n": precision, "lhs": rep["series_value"], "rhs": rep["closed_form"]}
-    return VerifyReport(
-        ident.id, rep["status"], precision, failure, note=rep.get("note")
-    )
+    return VerifyReport(id_, rep["status"], precision, failure, note=rep.get("note"))
 
 
 def verify_one(

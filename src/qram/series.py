@@ -198,22 +198,19 @@ def lambert(kind: DivisorKind, s: int, order: int) -> Series:
     return Series((_ZERO,) + tuple(table[1:]))
 
 
-def _mul_sparse_factor(coeffs: list[Fraction], m: int, sign: int) -> None:
-    # in-place multiply by (1 + sign*q^m)
-    for i in range(len(coeffs) - 1, m - 1, -1):
-        if coeffs[i - m] != 0:
-            coeffs[i] += sign * coeffs[i - m]
-
-
 def product_expansion(
     factors: list[tuple[int, int, int]], order: int
 ) -> Series:
     """prod over factors (a, b, e) of prod_{n>=0} (1 - q^{a+bn})^e, truncated.
 
     Requires b >= 1 and a >= 0 with a + bn never 0 (a = 0 would contribute the
-    vanishing factor 1 - q^0). Negative e expands the positive power and divides.
+    vanishing factor 1 - q^0). Every integer e takes the same path, Euler's
+    logarithmic-derivative recurrence (Knuth, TAOCP Vol. 2, 4.7): q f'/f is
+    sum_k g_k q^k with g_k = -sum e*m over the factor indices m dividing k,
+    so n f_n = sum_{k=1..n} g_k f_{n-k}. The f_n are integers, so the
+    recurrence runs on ints and the division by n is exact.
     """
-    acc = one(order)
+    g = [0] * (order + 1)
     for a, b, e in factors:
         if b < 1:
             raise ValueError("product_expansion: modulus b must be >= 1")
@@ -221,17 +218,19 @@ def product_expansion(
             raise ValueError("vanishing factor: a + b*0 = 0 gives 1 - q^0 = 0")
         if a < 0:
             raise ValueError("product_expansion: offset a must be nonnegative")
-        if e == 0:
-            continue
-        pos = [Fraction(1)] + [_ZERO] * order
-        m = a
-        while m <= order:
-            for _ in range(abs(e)):
-                _mul_sparse_factor(pos, m, -1)
-            m += b
-        pos_series = Series(tuple(pos))
-        acc = mul(acc, pos_series) if e > 0 else div(acc, pos_series)
-    return acc
+        for m in range(a, order + 1, b):
+            for k in range(m, order + 1, m):
+                g[k] -= e * m
+    terms = [(k, gk) for k, gk in enumerate(g) if gk]
+    f = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for k, gk in terms:
+            if k > n:
+                break
+            acc += gk * f[n - k]
+        f.append(acc // n)
+    return from_coeffs(f, order)
 
 
 def to_text(a: Series) -> str:

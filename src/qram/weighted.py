@@ -318,14 +318,14 @@ _L1_IMAGES = {
 }
 
 
-def hahn_to_classical(p: WeightedPoly) -> WeightedPoly:
+def classical_to_hahn(p: WeightedPoly) -> WeightedPoly:
     """Substitute each classical generator by its hahn-ring expression.
 
     Takes a classical-ring polynomial and returns the equal hahn-ring one
     (the direction that rewrites P, Q, R in the signed-divisor generators).
     """
     if p.ring != "classical":
-        raise ValueError("hahn_to_classical substitutes classical generators")
+        raise ValueError("classical_to_hahn substitutes classical generators")
     out = WeightedPoly("hahn", {})
     for (i, _, k, l), c in p.terms.items():
         term = constant("hahn", c)
@@ -334,11 +334,6 @@ def hahn_to_classical(p: WeightedPoly) -> WeightedPoly:
         term = term * _L1_IMAGES["R"] ** l
         out = out + term
     return out
-
-
-def classical_to_hahn_check(p: WeightedPoly, order: int) -> bool:
-    """Substitution consistency as series: eval(p) == eval(substituted p)."""
-    return eval_as_series(p, order) == eval_as_series(hahn_to_classical(p), order)
 
 
 def _generator_series(ring: str, order: int) -> dict[str, S.Series]:

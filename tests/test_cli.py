@@ -165,3 +165,35 @@ def test_no_verb_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--series", "T4", "--order", "-1"],
+        ["verify", "--identity", "ode.P", "--order", "-3"],
+        ["verify", "--identity", "t9", "--nmax", "-1"],
+        ["eval", "--value", "ct5b.phi09", "--precision", "-4"],
+    ],
+    ids=["expand-order", "verify-order", "verify-nmax", "eval-precision"],
+)
+def test_negative_bound_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_expand_invalid_theta_exponent_is_unknown_name(capsys):
+    code, out, err = run(capsys, "expand", "--series", "theta_p0_p1")
+    assert code == 2
+    assert out == ""
+    assert "unknown series name 'theta_p0_p1'" in err
+
+
+@pytest.mark.parametrize("flag", ["--order", "--precision"])
+def test_convolve_rejects_unused_options(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["convolve", "--identity", "t9", "--nmax", "10", flag, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

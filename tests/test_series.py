@@ -126,8 +126,38 @@ def test_product_expansion_negative_exponent_is_partition_series():
 
 
 def test_product_expansion_rejects_vanishing_factor():
-    with pytest.raises(ValueError):
-        S.product_expansion([(0, 1, 1)], 5)
+    # a = 0 (the factor 1 - q^0), b < 1 and a < 0 are refused, even at e = 0
+    for a, b in ((0, 1), (1, 0), (-1, 2)):
+        for e in (1, 0, -2):
+            with pytest.raises(ValueError):
+                S.product_expansion([(1, 1, 1), (a, b, e)], 5)
+
+
+def reference_product(factors, order):
+    """The sweep-then-multiply expansion: (1 - q^m) swept |e| times per index
+    m = a + bn into a positive power, then multiplied in (e > 0) or divided
+    out (e < 0)."""
+    acc = S.one(order)
+    for a, b, e in factors:
+        if e == 0:
+            continue
+        pos = [Fraction(1)] + [Fraction(0)] * order
+        for m in range(a, order + 1, b):
+            for _ in range(abs(e)):
+                for i in range(order, m - 1, -1):
+                    pos[i] -= pos[i - m]
+        pos_series = S.Series(tuple(pos))
+        acc = S.mul(acc, pos_series) if e > 0 else S.div(acc, pos_series)
+    return acc
+
+
+factor_st = st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(-4, 4))
+
+
+@given(st.lists(factor_st, max_size=4), st.integers(0, 80))
+@settings(max_examples=60, deadline=None)
+def test_product_expansion_matches_reference(factors, order):
+    assert S.product_expansion(factors, order) == reference_product(factors, order)
 
 
 def test_frozen_quotient_eps_by_eps_of_q_squared():
