@@ -22,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qram import identities as I
 from qram import numeric as N
 from qram import weighted as W
+from qram.cli import _at_least
 
 
 def structural_scan(max_weight: int) -> dict:
@@ -50,9 +51,12 @@ def structural_scan(max_weight: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--order", type=int, default=200, help="series truncation order")
-    ap.add_argument("--nmax", type=int, default=100, help="convolution bound")
-    ap.add_argument("--precision", type=int, default=256, help="bits for special values")
+    ap.add_argument("--order", type=_at_least(0), default=200, help="series truncation order")
+    ap.add_argument("--nmax", type=_at_least(0), default=100, help="convolution bound")
+    ap.add_argument(
+        "--precision", type=_at_least(N.MIN_PRECISION), default=256,
+        help="bits for special values",
+    )
     ap.add_argument("--max-weight", type=int, default=24, help="structural scan bound")
     ap.add_argument("--json-out", type=Path, help="also write the full report as JSON")
     args = ap.parse_args(argv)

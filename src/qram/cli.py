@@ -180,11 +180,16 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(minimum: int):
+    """argparse type for an integer bound >= minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,15 +202,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, order=False, nmax=False, precision=False):
         if order:
             p.add_argument(
-                "--order", type=_nonnegative, default=200, help="series order N"
+                "--order", type=_at_least(0), default=200, help="series order N"
             )
         if nmax:
             p.add_argument(
-                "--nmax", type=_nonnegative, default=100, help="convolution bound"
+                "--nmax", type=_at_least(0), default=100, help="convolution bound"
             )
         if precision:
             p.add_argument(
-                "--precision", type=_nonnegative, default=256, help="precision in bits"
+                "--precision", type=_at_least(N.MIN_PRECISION), default=256,
+                help="precision in bits",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -1,6 +1,6 @@
-"""Exact divisor-sum arithmetic over the rationals.
+"""Exact divisor-sum arithmetic.
 
-Three divisor-sum flavors, all exact Fractions:
+Three divisor-sum flavors, integers for n >= 1:
 
     sigma_s(n)       = sum of d^s over divisors d of n
     sigma~_s(n)      = sum of (-1)^(d-1) d^s        (sign by divisor parity)
@@ -130,8 +130,9 @@ def divisor_sum(kind: DivisorKind, s: int, n) -> Fraction:
     return Fraction(_divisor_sum_positive(kind, s, n))
 
 
-def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[Fraction]:
-    """[sigma_s(0..n_max)] with a sieve; index 0 holds 0, not the boundary value.
+def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
+    """[sigma_s(0..n_max)] as ints, with a sieve; index 0 holds 0, not the
+    boundary value.
 
     O(n_max log n_max), for dense consumers (Lambert coefficients, bulk property
     checks). Pointwise values agree with divisor_sum for n >= 1.
@@ -146,18 +147,7 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[Fraction]:
                 table[m] -= ds
             else:
                 table[m] += ds
-    return [Fraction(v) for v in table]
-
-
-def _term_sequence(kind: DivisorKind, s: int, n_max: int) -> tuple[list[int], int]:
-    """Integer-scaled values (D*sigma_s(0), sigma_s(1), ... scaled by D) for one
-    convolution factor, plus the denominator D cleared from the boundary term."""
-    b = boundary_value(kind, s)
-    den = b.denominator
-    seq = [b.numerator]
-    table = divisor_sum_table(kind, s, n_max)
-    seq.extend(den * int(table[i]) for i in range(1, n_max + 1))
-    return seq, den
+    return table
 
 
 def convolution(terms: list[tuple[DivisorKind, int]], n: int) -> Fraction:
@@ -189,20 +179,16 @@ def convolution_sequence(
 ) -> list[Fraction]:
     """Values of convolution(terms, n) for all n = 0..n_max, in one pass.
 
-    Clears the boundary-term denominators so the Cauchy folds run on plain
-    integers, then divides once. Agrees entrywise with convolution().
+    The q^n coefficients of the product of the factors' series
+    sum_{n>=0} sigma_s(n) q^n, each with its boundary value as the constant
+    term. Agrees entrywise with convolution().
     """
+    from . import series as S  # series imports this module
+
     if not terms:
         raise ValueError("convolution_sequence: empty term list")
-    seqs_dens = [_term_sequence(kind, s, n_max) for kind, s in terms]
-    acc = seqs_dens[0][0]
-    for seq, _ in seqs_dens[1:]:
-        nxt = [0] * (n_max + 1)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j in range(n_max + 1 - i):
-                nxt[i + j] += a * seq[j]
-        acc = nxt
-    den = reduce(lambda x, y: x * y, (d for _, d in seqs_dens), 1)
-    return [Fraction(v, den) for v in acc]
+    factors = [
+        S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
+        for kind, s in terms
+    ]
+    return list(reduce(S.mul, factors).coeffs)

@@ -17,8 +17,6 @@ from fractions import Fraction
 from . import series as S
 from .divisors import DivisorKind, bernoulli, divisor_sum_table
 
-_ZERO = Fraction(0)
-
 
 def eisenstein(k: int, order: int) -> S.Series:
     """E_2k = 1 - (4k/B_2k) sum sigma_{2k-1}(n) q^n.
@@ -28,18 +26,16 @@ def eisenstein(k: int, order: int) -> S.Series:
     if k < 1:
         raise ValueError("eisenstein: k must be >= 1")
     c = Fraction(-4 * k) / bernoulli(2 * k)
-    table = divisor_sum_table(DivisorKind.PLAIN, 2 * k - 1, order)
-    coeffs = [Fraction(1)] + [c * table[n] for n in range(1, order + 1)]
-    return S.Series(tuple(coeffs))
+    return S.add(S.one(order), S.scale(c, S.lambert(DivisorKind.PLAIN, 2 * k - 1, order)))
 
 
 _HAHN_SPEC = {
     # letter -> (kind, weight s, scalar multiplier); constant term comes out 1
     # because the scalar times the boundary value is 1 in each case
-    "P": (DivisorKind.TILDE, 1, Fraction(8)),
-    "E": (DivisorKind.HAT, 1, Fraction(24)),
-    "Q": (DivisorKind.TILDE, 3, Fraction(-16)),
-    "R": (DivisorKind.TILDE, 5, Fraction(8)),
+    "P": (DivisorKind.TILDE, 1, 8),
+    "E": (DivisorKind.HAT, 1, 24),
+    "Q": (DivisorKind.TILDE, 3, -16),
+    "R": (DivisorKind.TILDE, 5, 8),
 }
 
 
@@ -51,9 +47,7 @@ def hahn(which: str, order: int) -> S.Series:
         kind, s, c = _HAHN_SPEC[which]
     except KeyError:
         raise KeyError(f"hahn: which must be one of P, E, Q, R, not {which!r}") from None
-    table = divisor_sum_table(kind, s, order)
-    coeffs = [Fraction(1)] + [c * table[n] for n in range(1, order + 1)]
-    return S.Series(tuple(coeffs))
+    return S.add(S.one(order), S.scale(c, S.lambert(kind, s, order)))
 
 
 def family(fam: str, index: int, order: int) -> S.Series:
@@ -67,11 +61,11 @@ def family(fam: str, index: int, order: int) -> S.Series:
     """
     if index < 0:
         raise ValueError("family: index must be >= 0")
-    out = [_ZERO] * (order + 1)
+    out = [0] * (order + 1)
     if fam == "T":
         if index % 2:
             raise ValueError("family: T takes an even index")
-        out[0] = Fraction(1)
+        out[0] = 1
         k = 1
         while k * (3 * k - 1) // 2 <= order:
             sign = -1 if k % 2 else 1
@@ -105,7 +99,7 @@ def family(fam: str, index: int, order: int) -> S.Series:
             m += 1
     else:
         raise KeyError(f"family: unknown family {fam!r}")
-    return S.Series(tuple(Fraction(v) for v in out))
+    return S.Series(tuple(out))
 
 
 def theta_f(sa: int, u: int, sb: int, v: int, order: int) -> S.Series:
@@ -119,7 +113,7 @@ def theta_f(sa: int, u: int, sb: int, v: int, order: int) -> S.Series:
         raise ValueError("theta_f: signs must be +1 or -1")
     if u < 1 or v < 1:
         raise ValueError("theta_f: u and v must be positive integers")
-    out = [_ZERO] * (order + 1)
+    out = [0] * (order + 1)
 
     def put(k: int) -> bool:
         ta, tb = k * (k + 1) // 2, k * (k - 1) // 2
@@ -139,7 +133,7 @@ def theta_f(sa: int, u: int, sb: int, v: int, order: int) -> S.Series:
         if not alive:
             break
         m += 1
-    return S.Series(tuple(Fraction(v_) for v_ in out))
+    return S.Series(tuple(out))
 
 
 def phi_series(variant: str, r: int, s: int, order: int) -> S.Series:
@@ -160,12 +154,12 @@ def phi_series(variant: str, r: int, s: int, order: int) -> S.Series:
     if s >= r:
         kind = DivisorKind.PLAIN if variant == "plain" else DivisorKind.TILDE
         table = divisor_sum_table(kind, s - r, order)
-        coeffs = [_ZERO] + [n**r * table[n] for n in range(1, order + 1)]
+        coeffs = [0] + [n**r * table[n] for n in range(1, order + 1)]
     else:
         # swap roles of the two indices: the sign lands on the codivisor
         kind = DivisorKind.PLAIN if variant == "plain" else DivisorKind.HAT
         table = divisor_sum_table(kind, r - s, order)
-        coeffs = [_ZERO] + [n**s * table[n] for n in range(1, order + 1)]
+        coeffs = [0] + [n**s * table[n] for n in range(1, order + 1)]
     return S.Series(tuple(coeffs))
 
 

@@ -148,11 +148,12 @@ def _t12_rhs(n_max: int) -> list:
 
 
 def _cheng_williams_lhs(n_max: int) -> list:
-    sigma = [int(v) for v in divisor_sum_table(PLAIN, 1, 4 * n_max)]
-    return [
-        Fraction(sum(sigma[4 * m - 3] * sigma[4 * (n - m) + 3] for m in range(1, n + 1)))
-        for n in range(n_max + 1)
-    ]
+    """sum_{m=1..n} sigma(4m-3) sigma(4(n-m)+3): the q^n coefficient of
+    (sum_{m>=1} sigma(4m-3) q^m) (sum_{j>=0} sigma(4j+3) q^j)."""
+    sigma = divisor_sum_table(PLAIN, 1, 4 * n_max + 3)
+    first = S.from_coeffs([0] + sigma[1::4])
+    second = S.from_coeffs(sigma[3::4])
+    return list(S.mul(first, second).coeffs)
 
 
 def _cheng_williams_rhs(n_max: int) -> list:
@@ -603,19 +604,25 @@ def lookup(id_: str) -> Optional[Identity]:
 
 
 def verify_series(ident: Identity | str, order: int) -> VerifyReport:
-    """Build both sides to the requested order and compare exactly."""
+    """Build both sides to the requested order and compare exactly.
+
+    A side built below the requested order fails, with checked_up_to the
+    order both sides reached.
+    """
     ident = _resolve(ident, "series")
-    lhs = S.truncate(ident.lhs(order), order)
-    rhs = S.truncate(ident.rhs(order), order)
-    for n in range(order + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return VerifyReport(
-                ident.id,
-                "fail",
-                order,
-                {"n": n, "lhs": _fmt(lhs.coeffs[n]), "rhs": _fmt(rhs.coeffs[n])},
-            )
-    return VerifyReport(ident.id, "pass", order)
+    lhs, rhs = ident.lhs(order), ident.rhs(order)
+    built = min(order, lhs.order, rhs.order)
+    short = [side for side, s in (("lhs", lhs), ("rhs", rhs)) if s.order < order]
+    note = None
+    if short:
+        note = f"{' and '.join(short)} built below the requested order {order}"
+    lhs, rhs = S.truncate(lhs, built), S.truncate(rhs, built)
+    failure = None
+    if lhs != rhs:
+        n = next(n for n in range(built + 1) if lhs[n] != rhs[n])
+        failure = {"n": n, "lhs": _fmt(lhs[n]), "rhs": _fmt(rhs[n])}
+    status = "fail" if failure or note else "pass"
+    return VerifyReport(ident.id, status, built, failure, note)
 
 
 def verify_convolution(ident: Identity | str, n_max: int) -> VerifyReport:

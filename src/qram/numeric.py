@@ -28,6 +28,9 @@ from mpmath import mp
 _GUARD_BITS = 64
 _STOP_MARGIN = 16
 _PASS_MARGIN = 32
+# below this the pass gate 2^-(precision - _PASS_MARGIN) accepts errors of
+# 2^-32 and more, so a pass would say nothing about the closed form
+MIN_PRECISION = 2 * _PASS_MARGIN
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +382,11 @@ def check_special(id_: str, precision: int = 256) -> dict:
     2^-(precision+16); working precision starts at precision + 64 bits and is
     widened when that omitted term sits below the resolution (theta tails
     jump quadratically), so the reported error is the actual truncation
-    residual, not arithmetic noise. Returns a JSON-ready report.
+    residual, not arithmetic noise. Returns a JSON-ready report. Precisions
+    below MIN_PRECISION raise ValueError.
     """
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
     if id_ not in SPECIALS:
         known = ", ".join(sorted(SPECIALS))
         raise KeyError(f"unknown special value {id_!r}; known ids: {known}")

@@ -1,42 +1,55 @@
 """Truncated formal power series in q over exact rationals.
 
-A Series is a tuple of Fractions indexed 0..N together with its truncation
-order N (inclusive). All arithmetic is exact; mixing two orders silently
-truncates to the smaller one, and identity checks always compare at an
-explicitly requested order. Dense storage, schoolbook O(N^2) products: every
-series here is dense and N stays at desk scale (a few hundred).
+A Series is a tuple of int numerators indexed 0..N over one positive common
+denominator, with truncation order N (inclusive); the kernels run on ints.
+Mixing two orders silently truncates to the smaller one, and identity checks
+always compare at an explicitly requested order. Dense storage, schoolbook
+O(N^2) products: every series here is dense and N stays at desk scale (a few
+hundred).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul as _imul
 
 from .divisors import DivisorKind, divisor_sum_table
-
-_ZERO = Fraction(0)
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
 class Series:
-    """coeffs[n] is the coefficient of q^n; order == len(coeffs) - 1."""
+    """nums[n] / den is the coefficient of q^n; order == len(nums) - 1.
 
-    coeffs: tuple[Fraction, ...]
+    Construction reduces to lowest terms, den > 0 and gcd(den, *nums) == 1,
+    so equal fields mean equal series.
+    """
+
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("Series needs at least the constant coefficient")
+        if self.den != 1:
+            if self.den == 0:
+                raise ZeroDivisionError("Series denominator is zero")
+            g = math.gcd(self.den, *self.nums) * (1 if self.den > 0 else -1)
+            object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
+            object.__setattr__(self, "den", self.den // g)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Read-only Fraction view, rebuilt on each access; kernels use nums/den."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     # arithmetic sugar; the named module functions below are the real interface
     def __add__(self, other: "Series") -> "Series":
@@ -51,14 +64,6 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         return mul(self, other)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def to_json(self) -> dict:
         return {
             "order": self.order,
@@ -71,98 +76,94 @@ class Series:
 
 def rational_str(c: Fraction) -> str:
     """Canonical "num/den" form, denominator omitted when 1."""
-    c = _frac(c)
+    c = c if isinstance(c, Fraction) else Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def from_coeffs(values, order: int | None = None) -> Series:
-    """Series from an iterable of rationals, optionally zero-padded to order."""
-    cs = [_frac(v) for v in values]
+    """Series from an iterable of rationals (ints or Fractions), optionally
+    truncated or zero-padded to order."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
     if order is not None:
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs.extend([_ZERO] * (order + 1 - len(cs)))
-    return Series(tuple(cs))
+        nums = nums[: order + 1] + [0] * (order + 1 - len(nums))
+    return Series(tuple(nums), den)
 
 
 def zero(order: int) -> Series:
-    return Series((_ZERO,) * (order + 1))
+    return Series((0,) * (order + 1))
 
 
 def one(order: int) -> Series:
-    return from_coeffs([Fraction(1)], order)
+    return Series((1,) + (0,) * order)
 
 
 def monomial(c, k: int, order: int) -> Series:
     """c * q^k, truncated at order (possibly to the zero series)."""
-    cs = [_ZERO] * (order + 1)
+    c = Fraction(c)
+    nums = [0] * (order + 1)
     if 0 <= k <= order:
-        cs[k] = _frac(c)
-    return Series(tuple(cs))
+        nums[k] = c.numerator
+    return Series(tuple(nums), c.denominator)
 
 
 def truncate(a: Series, order: int) -> Series:
     if order == a.order:
         return a
     if order < a.order:
-        return Series(a.coeffs[: order + 1])
-    return Series(a.coeffs + (_ZERO,) * (order - a.order))
+        return Series(a.nums[: order + 1], a.den)
+    return Series(a.nums + (0,) * (order - a.order), a.den)
 
 
 def add(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    return Series(tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1)))
+    den = math.lcm(a.den, b.den)
+    ma, mb = den // a.den, den // b.den
+    return Series(tuple(x * ma + y * mb for x, y in zip(a.nums, b.nums)), den)
 
 
 def sub(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    return Series(tuple(a.coeffs[i] - b.coeffs[i] for i in range(n + 1)))
+    return add(a, neg(b))
 
 
 def neg(a: Series) -> Series:
-    return Series(tuple(-c for c in a.coeffs))
+    return Series(tuple(-x for x in a.nums), a.den)
 
 
 def scale(c, a: Series) -> Series:
-    c = _frac(c)
-    return Series(tuple(c * x for x in a.coeffs))
+    c = Fraction(c)
+    return Series(tuple(c.numerator * x for x in a.nums), c.denominator * a.den)
 
 
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated at min(order)."""
     n = min(a.order, b.order)
-    out = [_ZERO] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return Series(tuple(out))
+    xs, ys = a.nums, b.nums[n::-1]  # ys[n - k:] is b_k, ..., b_0
+    out = tuple(sum(map(_imul, xs[: k + 1], ys[n - k :])) for k in range(n + 1))
+    return Series(out, a.den * b.den)
 
 
 def div(a: Series, b: Series) -> Series:
-    """c with b*c = a to the truncation order; b must be a unit (b[0] != 0)."""
-    if b.coeffs[0] == 0:
+    """c with b*c = a to the truncation order; b must be a unit (b[0] != 0).
+
+    Integer long division: with D = b.nums[0], nums(a)/nums(b) has q^k
+    coefficient C_k / D^(k+1), C_k = A_k D^k - sum_{i=1..k} B_i D^(i-1) C_{k-i}.
+    """
+    d = b.nums[0]
+    if d == 0:
         raise ZeroDivisionError("non-unit divisor: constant term is zero")
     n = min(a.order, b.order)
-    b0 = b.coeffs[0]
-    out: list[Fraction] = []
+    bd = [b.nums[i] * d ** (i - 1) for i in range(1, n + 1)]  # B_i D^(i-1)
+    cs: list[int] = []
     for k in range(n + 1):
-        acc = a.coeffs[k]
-        for i in range(1, k + 1):
-            bi = b.coeffs[i]
-            if bi != 0:
-                acc -= bi * out[k - i]
-        out.append(acc / b0)
-    return Series(tuple(out))
+        cs.append(a.nums[k] * d**k - sum(map(_imul, bd, reversed(cs))))
+    nums = tuple(c * d ** (n - k) * b.den for k, c in enumerate(cs))
+    return Series(nums, a.den * d ** (n + 1))
 
 
 def euler_op(a: Series) -> Series:
     """q d/dq: the q^n coefficient becomes n*a_n. Order unchanged."""
-    return Series(tuple(n * c for n, c in enumerate(a.coeffs)))
+    return Series(tuple(n * x for n, x in enumerate(a.nums)), a.den)
 
 
 def substitute_power(a: Series, k: int) -> Series:
@@ -171,22 +172,21 @@ def substitute_power(a: Series, k: int) -> Series:
         raise ValueError("substitute_power: k must be >= 1")
     if k == 1:
         return a
-    out = [_ZERO] * (a.order * k + 1)
-    for n, c in enumerate(a.coeffs):
-        out[n * k] = c
-    return Series(tuple(out))
+    out = [0] * (a.order * k + 1)
+    out[::k] = a.nums
+    return Series(tuple(out), a.den)
 
 
 def substitute_negate(a: Series) -> Series:
     """q -> -q: flips the sign of odd coefficients."""
-    return Series(tuple(-c if n % 2 else c for n, c in enumerate(a.coeffs)))
+    return Series(tuple(-x if n % 2 else x for n, x in enumerate(a.nums)), a.den)
 
 
 def shift(a: Series, m: int) -> Series:
     """q^m * a, with the order raised by m so no information is lost."""
     if m < 0:
         raise ValueError("shift: m must be nonnegative")
-    return Series((_ZERO,) * m + a.coeffs)
+    return Series((0,) * m + a.nums, a.den)
 
 
 def lambert(kind: DivisorKind, s: int, order: int) -> Series:
@@ -194,8 +194,7 @@ def lambert(kind: DivisorKind, s: int, order: int) -> Series:
 
     Equals sum_k k^s q^k/(1 -+ q^k) expanded; generated from divisor sums.
     """
-    table = divisor_sum_table(kind, s, order)
-    return Series((_ZERO,) + tuple(table[1:]))
+    return Series((0,) + tuple(divisor_sum_table(kind, s, order)[1:]))
 
 
 def product_expansion(
@@ -230,7 +229,7 @@ def product_expansion(
                 break
             acc += gk * f[n - k]
         f.append(acc // n)
-    return from_coeffs(f, order)
+    return Series(tuple(f))
 
 
 def to_text(a: Series) -> str:

@@ -341,7 +341,7 @@ def test_acceptance_8_negative_controls(capsys):
         s = base.rhs(order)
         coeffs = list(s.coeffs)
         coeffs[13] += 1
-        return S.Series(tuple(coeffs))
+        return S.from_coeffs(coeffs)
 
     broken = Identity(
         id="ode.Q.broken", kind="series", statement=base.statement,

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, output stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -168,20 +169,31 @@ def test_no_verb_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, bound",
     [
-        ["expand", "--series", "T4", "--order", "-1"],
-        ["verify", "--identity", "ode.P", "--order", "-3"],
-        ["verify", "--identity", "t9", "--nmax", "-1"],
-        ["eval", "--value", "ct5b.phi09", "--precision", "-4"],
+        (["expand", "--series", "T4", "--order", "-1"], 0),
+        (["verify", "--identity", "ode.P", "--order", "-3"], 0),
+        (["verify", "--identity", "t9", "--nmax", "-1"], 0),
+        (["eval", "--value", "ct5b.phi09", "--precision", "-4"], 64),
     ],
     ids=["expand-order", "verify-order", "verify-nmax", "eval-precision"],
 )
-def test_negative_bound_is_usage_error(capsys, argv):
+def test_negative_bound_is_usage_error(capsys, argv, bound):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be >= 0" in capsys.readouterr().err
+    assert f"must be >= {bound}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["eval", "verify"])
+@pytest.mark.parametrize("bits", ["0", "8", "63"])
+def test_low_precision_is_usage_error(capsys, verb, bits):
+    # the pass gate 2^-(precision-32) is vacuous at low precision
+    target = ["--value", "hahn.P"] if verb == "eval" else ["--identity", "hahn.P"]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *target, "--precision", bits])
+    assert exc.value.code == 2
+    assert f"must be >= 64, got {bits}" in capsys.readouterr().err
 
 
 def test_expand_invalid_theta_exponent_is_unknown_name(capsys):
@@ -197,3 +209,30 @@ def test_convolve_rejects_unused_options(capsys, flag):
         main(["convolve", "--identity", "t9", "--nmax", "10", flag, "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# sha256 of stdout, recorded before Series moved to integer numerators over one
+# denominator; E12 has denominators other than 1
+GOLDEN = {
+    "verify --all --order 60 --nmax 60 --format json":
+        "99f3aa8e459a9a081e54f3f85d43dac40c574bb5698a5b33df5d46a922a83420",
+    "list --format json":
+        "d16c4399bef81a3cfed2d746d555ea547f2171e0f23013c4ec05ccb04a1d2f7e",
+    "expand --series P --order 300 --format json":
+        "6b3391a15c7a9a34718ef5d749a36ba2cfef8a1b633b844eb2b23b5b837f467c",
+    "expand --series E12 --order 300 --format json":
+        "d13ee788f8976441e976abad72bb686210f7fcab39f91c46a5838a1c1b60f74d",
+    "expand --series hahnE --order 300 --format json":
+        "d19af044ca0547ee7f4ba4e2d6392c3f8498d8edd360c70d501d728cf07b40b2",
+    "expand --series phi_tilde_2_7 --order 300 --format json":
+        "dc202808ba602c57c597b003833d2a5e96afc50fe009a4bb488b2542f7dc5d2a",
+    "expand --series poch --order 300 --format json":
+        "3b7f82cf40257b2e55b62a785bf16eee2eb0bfb31592dbe7e0438573655a1396",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -59,6 +59,35 @@ def test_series_driver_reports_bounds():
     assert rep.first_failure is None
 
 
+def test_short_builder_fails_with_the_order_built():
+    # both sides built to order 0 only; zero padding would make "P = Q" pass
+    short = Identity(
+        id="short",
+        kind="series",
+        statement="P = Q",
+        source="negative control",
+        lhs=lambda n: eisenstein(1, 0),
+        rhs=lambda n: eisenstein(2, 0),
+    )
+    rep = verify_series(short, 200)
+    assert rep.status == "fail"
+    assert rep.checked_up_to == 0
+    assert rep.first_failure is None
+    assert rep.note == "lhs and rhs built below the requested order 200"
+    # a disagreement inside the built range is still located
+    one_short = Identity(
+        id="one_short",
+        kind="series",
+        statement="P = Q",
+        source="negative control",
+        lhs=lambda n: eisenstein(1, n),
+        rhs=lambda n: eisenstein(2, n - 1),
+    )
+    rep = verify_series(one_short, 10)
+    assert (rep.status, rep.checked_up_to, rep.first_failure["n"]) == ("fail", 9, 1)
+    assert rep.note == "rhs built below the requested order 10"
+
+
 def test_convolution_driver_respects_domain():
     rep = verify_convolution("cor1.a", 25)
     assert rep.status == "pass"
@@ -76,7 +105,7 @@ def test_corrupted_identity_is_located():
         s = base.rhs(order)
         coeffs = list(s.coeffs)
         coeffs[7] += Fraction(1, 3)
-        return S.Series(tuple(coeffs))
+        return S.from_coeffs(coeffs)
 
     broken = Identity(
         id="ode.Q.broken",

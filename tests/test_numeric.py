@@ -89,3 +89,11 @@ def test_transcription_notes_survive():
 def test_unknown_id_rejected():
     with pytest.raises(KeyError):
         check_special("no.such.value", 128)
+
+
+@pytest.mark.parametrize("bits", [0, 8, 32, 63])
+def test_check_special_rejects_vacuous_precision(bits):
+    # at 32 bits the gate 2^-(32-32) = 1 passed any relative error below 1
+    with pytest.raises(ValueError):
+        check_special("hahn.P", bits)
+    assert check_special("hahn.P", 64)["status"] == "pass"

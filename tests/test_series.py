@@ -1,5 +1,6 @@
 """Ring axioms and operator laws for truncated series, plus frozen expansions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,63 @@ def series_st(order=10, unit=False):
         return S.from_coeffs(vals)
 
     return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(build)
+
+
+def coeff_lists(unit=False):
+    """Fraction coefficient lists of order 0..12 over mixed denominators, with
+    up to three zero leading terms (none for a unit)."""
+    head = st.just([]) if unit else st.lists(st.just(Fraction(0)), max_size=3)
+    first = rationals.filter(bool) if unit else rationals
+    return st.builds(
+        lambda h, f, rest: (h + [f] + rest)[:13],
+        head,
+        first,
+        st.lists(rationals, max_size=12),
+    )
+
+
+def fraction_schoolbook(xs, ys):
+    n = min(len(xs), len(ys))
+    return [sum((xs[i] * ys[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+def fraction_long_division(xs, ys):
+    out = []
+    for k in range(min(len(xs), len(ys))):
+        acc = xs[k] - sum((ys[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
+        out.append(acc / ys[0])
+    return out
+
+
+def assert_normal_form(s):
+    assert all(type(x) is int for x in s.nums)
+    assert s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    assert S.from_coeffs(s.coeffs) == s
+
+
+@given(coeff_lists(), coeff_lists(), rationals)
+@settings(max_examples=150)
+def test_integer_kernels_match_fraction_oracle(xs, ys, c):
+    a, b = S.from_coeffs(xs), S.from_coeffs(ys)
+    cases = [
+        (S.add(a, b), [x + y for x, y in zip(xs, ys)]),
+        (S.sub(a, b), [x - y for x, y in zip(xs, ys)]),
+        (S.mul(a, b), fraction_schoolbook(xs, ys)),
+        (S.scale(c, a), [c * x for x in xs]),
+        (S.neg(b), [-y for y in ys]),
+    ]
+    for out, want in cases:
+        assert list(out.coeffs) == want
+        assert_normal_form(out)
+
+
+@given(coeff_lists(), coeff_lists(unit=True))
+@settings(max_examples=150)
+def test_div_matches_fraction_long_division(xs, ys):
+    out = S.div(S.from_coeffs(xs), S.from_coeffs(ys))
+    assert list(out.coeffs) == fraction_long_division(xs, ys)
+    assert_normal_form(out)
 
 
 @given(series_st(), series_st(), series_st())
@@ -47,6 +105,13 @@ def test_div_undoes_mul(a, b):
 def test_div_one_is_inverse(b):
     inv = S.div(S.one(b.order), b)
     assert S.mul(inv, b) == S.one(b.order)
+
+
+def test_normal_form_on_construction():
+    assert S.Series((2, -4, 6), -4) == S.Series((-1, 2, -3), 2)
+    assert S.Series((0, 0), 7) == S.zero(1)
+    with pytest.raises(ZeroDivisionError):
+        S.Series((1, 2), 0)
 
 
 def test_div_by_non_unit_raises():
@@ -146,7 +211,7 @@ def reference_product(factors, order):
             for _ in range(abs(e)):
                 for i in range(order, m - 1, -1):
                     pos[i] -= pos[i - m]
-        pos_series = S.Series(tuple(pos))
+        pos_series = S.from_coeffs(pos)
         acc = S.mul(acc, pos_series) if e > 0 else S.div(acc, pos_series)
     return acc
 
