@@ -67,12 +67,16 @@ def main(argv=None) -> int:
     specials = N.check_all_specials(args.precision)
     by_special = {r["id"]: r for r in specials}
     config = I.RunConfig(args.order, args.nmax, args.precision)
-    reports = [
-        I.numeric_report(e.id, by_special[e.numeric_id])
-        if e.kind == "numeric-ref"
-        else I.verify_one(e, config)
-        for e in I.registry()
-    ]
+    try:
+        reports = [
+            I.numeric_report(e.id, by_special[e.id])
+            if e.kind == "numeric-ref"
+            else I.verify_one(e, config)
+            for e in I.registry()
+        ]
+    except ValueError as exc:  # a bound that leaves nothing to compare
+        print(exc, file=sys.stderr)
+        return 2
     by_kind = {}
     for rep in reports:
         kind = I.lookup(rep.id).kind

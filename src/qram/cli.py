@@ -98,7 +98,11 @@ def _verify_like(args, config: I.RunConfig, restrict_kind=None) -> int:
             return _unknown("identity", args.identity, valid)
         idents = [ident]
         footer = False
-    reports = [I.verify_one(e, config) for e in idents]
+    try:
+        reports = [I.verify_one(e, config) for e in idents]
+    except ValueError as exc:  # a bound that leaves nothing to compare
+        print(exc, file=sys.stderr)
+        return 2
     _print_reports(reports, args.format, footer)
     return 0 if all(r.status == "pass" for r in reports) else 1
 

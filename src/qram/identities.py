@@ -7,9 +7,11 @@ Three kinds of entry:
                 cross-multiplied (T_2 * 1 = P * T_0 form) so no division is
                 ever needed; the one genuine quotient identity (lemma_lx) is
                 pre-cross-multiplied too.
-  convolution:  both sides are exact Fractions per n, the right side evaluated
-                by the brute-force convolution oracle; identities over odd n
-                skip even n entirely rather than asserting anything there.
+  convolution:  both sides are exact values per n, the convolutions
+                evaluated by divisors.convolution_sequence (the brute-force
+                divisors.convolution is its test oracle); identities over odd
+                n skip even n entirely rather than asserting anything there,
+                and a bound n_max with no n in the domain is rejected.
   numeric-ref:  delegates to numeric.check_special so a full verify run covers
                 the special-value checks as well.
 
@@ -44,8 +46,6 @@ class Identity:
     lhs_seq: Optional[Callable[[int], list]] = None
     rhs_seq: Optional[Callable[[int], list]] = None
     domain_pred: Callable[[int], bool] = lambda n: True
-    # numeric-ref kind: id understood by numeric.check_special
-    numeric_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -388,10 +388,7 @@ def _series_identities() -> list[Identity]:
         "psi(q) = eps(q^3) + q psi(q^9)",
         "triangular-index trisection",
         lambda n: G.psi0(n),
-        lambda n: S.add(
-            S.truncate(_subst(G.eps0, 3, n), n),
-            S.truncate(S.shift(_subst(G.psi0, 9, n), 1), n),
-        ),
+        lambda n: S.add(_subst(G.eps0, 3, n), S.shift(_subst(G.psi0, 9, n), 1)),
     )
     serie(
         "prop_p2.neg",
@@ -399,16 +396,16 @@ def _series_identities() -> list[Identity]:
         "trisection with q -> -q",
         lambda n: S.substitute_negate(G.psi0(n)),
         lambda n: S.sub(
-            S.truncate(S.substitute_negate(_subst(G.eps0, 3, n)), n),
-            S.truncate(S.shift(S.substitute_negate(_subst(G.psi0, 9, n)), 1), n),
+            S.substitute_negate(_subst(G.eps0, 3, n)),
+            S.shift(S.substitute_negate(_subst(G.psi0, 9, n)), 1),
         ),
     )
     serie(
         "lemma_lx",
         "f(q, q^5) eps(q^2) = eps(q) psi(q^3)",
         "Berndt: f(a,ab^2) f(b,a^2b) = f(a,b) psi(ab), cross-multiplied",
-        lambda n: S.mul(G.theta_f(1, 1, 1, 5, n), S.truncate(_subst(G.eps0, 2, n), n)),
-        lambda n: S.mul(G.eps0(n), S.truncate(_subst(G.psi0, 3, n), n)),
+        lambda n: S.mul(G.theta_f(1, 1, 1, 5, n), _subst(G.eps0, 2, n)),
+        lambda n: S.mul(G.eps0(n), _subst(G.psi0, 3, n)),
     )
 
     # doubling relations feeding the convolution theorems
@@ -416,14 +413,14 @@ def _series_identities() -> list[Identity]:
         "cor1.q_lemma",
         "4 Q(q^2) + Q(q) = 5 E~(q)^2",
         "Berndt, q -> q^2 Eisenstein parametrization",
-        lambda n: S.add(S.scale(4, S.truncate(_subst(Q, 2, n), n)), Q(n)),
+        lambda n: S.add(S.scale(4, _subst(Q, 2, n)), Q(n)),
         lambda n: S.scale(5, S.mul(G.hahn("E", n), G.hahn("E", n))),
     )
     serie(
         "cor1.r_lemma",
         "8 R(q^2) - R(q) = 7 E~(q)^3",
         "Berndt, q -> q^2 Eisenstein parametrization",
-        lambda n: S.sub(S.scale(8, S.truncate(_subst(R, 2, n), n)), R(n)),
+        lambda n: S.sub(S.scale(8, _subst(R, 2, n)), R(n)),
         lambda n: S.scale(
             7, S.mul(S.mul(G.hahn("E", n), G.hahn("E", n)), G.hahn("E", n))
         ),
@@ -432,7 +429,7 @@ def _series_identities() -> list[Identity]:
         "t12.core",
         "E_8(q) - 16 E_8(q^2) = 15 E~^4 - 30 E~ R~",
         "derived: weight-8 doubling in the signed generators",
-        lambda n: S.sub(_eis(4)(n), S.scale(16, S.truncate(_subst(_eis(4), 2, n), n))),
+        lambda n: S.sub(_eis(4)(n), S.scale(16, _subst(_eis(4), 2, n))),
         _poly_series(W.WeightedPoly("hahn", {(0, 4, 0, 0): 15, (0, 1, 0, 1): -30})),
     )
     serie(
@@ -561,8 +558,8 @@ def _convolution_identities() -> list[Identity]:
 
 
 def _numeric_identities() -> list[Identity]:
-    # closed forms live in numeric.SPECIALS; these entries make a full verify
-    # run cover them
+    # closed forms live in numeric.SPECIALS, under the same ids; these
+    # entries make a full verify run cover them
     from . import numeric
 
     out = []
@@ -574,7 +571,6 @@ def _numeric_identities() -> list[Identity]:
                 sv.statement,
                 sv.source,
                 domain="point evaluation",
-                numeric_id=sid,
             )
         )
     return out
@@ -626,8 +622,17 @@ def verify_series(ident: Identity | str, order: int) -> VerifyReport:
 
 
 def verify_convolution(ident: Identity | str, n_max: int) -> VerifyReport:
-    """Evaluate both exact sides for every n in the identity's domain."""
+    """Evaluate both exact sides for every n in the identity's domain.
+
+    Raises ValueError when no n in 0..n_max lies in the domain, since a pass
+    would then have compared nothing.
+    """
     ident = _resolve(ident, "convolution")
+    if not any(map(ident.domain_pred, range(n_max + 1))):
+        raise ValueError(
+            f"identity {ident.id}: no n in 0..{n_max} lies in its domain"
+            f" ({ident.domain})"
+        )
     lhs = ident.lhs_seq(n_max)
     rhs = ident.rhs_seq(n_max)
     for n in range(n_max + 1):
@@ -644,7 +649,7 @@ def verify_numeric(ident: Identity | str, precision: int) -> VerifyReport:
     from . import numeric
 
     ident = _resolve(ident, "numeric-ref")
-    return numeric_report(ident.id, numeric.check_special(ident.numeric_id, precision))
+    return numeric_report(ident.id, numeric.check_special(ident.id, precision))
 
 
 def numeric_report(id_: str, rep: dict) -> VerifyReport:

@@ -2,31 +2,39 @@
 
 Each special value pairs two fully independent computations:
 
-  series route:  the defining sum itself (Lambert sum, weighted Lambert sum,
-                 or theta sum) evaluated termwise at the point, never through
-                 the polynomial identities;
+  series route:  the defining sum itself, c0 + c1 * sum_{k>=1} t_k at a point
+                 x, evaluated termwise, never through the polynomial
+                 identities;
   closed route:  the radical/pi/Gamma(3/4) closed form, with Gamma(3/4)
                  obtained from the arithmetic-geometric mean, not from a
                  library gamma function.
 
-check_special runs both at `precision + 64` working bits (widened further when
-a sum's tail is smaller than that resolution, as happens for theta sums whose
-exponents grow quadratically) while the sums stop at the first term below
-2^-(precision+16), which is left out and returned as the tail scale. The
-reported error is therefore the genuine truncation residual: far below the
-2^-(precision-32) pass gate, far above arithmetic noise, nonzero, and
-strictly shrinking as the requested precision grows.
+Every defining sum is a weighted Lambert sum or a bilateral theta sum, each
+with a proved tail bound (_lambert, _theta). check_special makes one pass:
+from log2|x|, computed once at low precision, it picks the first index N at
+which |c1| times the tail bound is below 2^-(precision+16), works 64 bits
+below that bound, and sums terms 1..N-1 once. The reported error is thus the
+genuine truncation residual: provably below 2^-(precision+16), far above
+arithmetic noise, and shrinking as the requested precision grows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Callable, Optional
 
 from mpmath import mp
 
+from .divisors import DivisorKind
+
+PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
+
 _GUARD_BITS = 64
 _STOP_MARGIN = 16
+# keeps the 64-bit log2|x| an upper bound through float tail arithmetic
+_LOG2_SLACK = 2.0**-20
 _PASS_MARGIN = 32
 # below this the pass gate 2^-(precision - _PASS_MARGIN) accepts errors of
 # 2^-32 and more, so a pass would say nothing about the closed form
@@ -49,78 +57,82 @@ def gamma_three_quarters():
 
 
 # ---------------------------------------------------------------------------
-# series routes (all expect to run inside an mp.workprec block)
+# the two term families
 
 
-def _lambert(s: int, x, stop, alternating: bool, plus_denom: bool):
-    """sum_{d>=1} (+-) d^s x^d / (1 -+ x^d), signs per the divisor flavor.
+@dataclass(frozen=True)
+class Route:
+    """c0 + c1 * (t_1 + t_2 + ...), terms(x) yielding t_k, at x = point().
 
-    alternating: factor (-1)^{d-1}    (the sigma~ flavor)
-    plus_denom:  denominator 1 + x^d  (the sigma^ flavor)
-    Terms grow before they decay, so the stop test waits until d is past the
-    small-d hump. Returns (partial sum, first omitted term): the sum stops
-    just before the first sub-`stop` term, which sets the residual scale.
+    point and terms run inside workprec. log2_tail(l, k) is log2 of a proved
+    bound on sum_{j>=k} |t_j| whenever log2|x| <= l (inf where none holds).
     """
-    total = mp.mpf(0)
-    d, xd = 1, x
-    while True:
-        term = mp.mpf(d) ** s * xd / ((1 + xd) if plus_denom else (1 - xd))
-        if alternating and d % 2 == 0:
-            term = -term
-        if d > s + 4 and abs(term) < stop:
-            return total, abs(term)
-        total += term
-        d += 1
-        xd *= x
+
+    point: Callable
+    terms: Callable
+    log2_tail: Callable[[float, int], float]
+    c0: int = 1
+    c1: int = 1
+
+    def stop(self, log2_x: float, bits: int) -> tuple[int, float]:
+        """The first N with |c1| * tail bound from N < 2^-bits; log2 of that."""
+        for n in count(1):
+            bound = math.log2(abs(self.c1)) + self.log2_tail(log2_x, n)
+            if bound < -bits:
+                return n, bound
 
 
-def _phi_tilde(r: int, s: int, x, stop):
-    """sum_n n^r sigma~_{s-r}(n) x^n as sum_d (-1)^{d-1} d^s A_r(x^d)."""
-    if r not in (0, 1, 2):
-        raise ValueError("numeric Phi~ route implemented for r in {0, 1, 2}")
-    total = mp.mpf(0)
-    d, xd = 1, x
-    while True:
-        y = xd
-        if r == 0:
-            a = y / (1 - y)
-        elif r == 1:
-            a = y / (1 - y) ** 2
-        else:
-            a = y * (1 + y) / (1 - y) ** 3
-        term = mp.mpf(d) ** s * a
-        if d % 2 == 0:
-            term = -term
-        if d > s + 4 and abs(term) < stop:
-            return total, abs(term)
-        total += term
-        d += 1
-        xd *= x
+# A_r(y) = sum_{m>=1} m^r y^m
+_A = (
+    lambda y: y / (1 - y),
+    lambda y: y / (1 - y) ** 2,
+    lambda y: y * (1 + y) / (1 - y) ** 3,
+)
 
 
-def _psi_sum(x, stop):
-    """sum_{k>=0} x^{k(k+1)/2}."""
-    total = mp.mpf(1)
-    k = 1
-    while True:
-        term = x ** (k * (k + 1) // 2)
-        if abs(term) < stop:
-            return total, abs(term)
-        total += term
-        k += 1
+def _lambert(kind: DivisorKind, r: int, s: int, point, c0=1, c1=1) -> Route:
+    """sum_d sgn(d) d^s A(x^d) = sum_n n^r sigma_{s-r}(n) x^n, signed per kind.
+
+    sgn(d) = (-1)^(d-1) for TILDE and 1 otherwise; A = A_r, except
+    A(y) = -A_r(-y) for HAT. |A(y)| <= A_r(|y|) <= C|y| for |y| <= |x| with
+    C = A_r(|x|)/|x|, and for d >= k consecutive bounds C d^s |x|^d have
+    ratio at most (1+1/k)^s |x|; summing that geometric series gives the
+    tail bound C k^s |x|^k / (1 - (1+1/k)^s |x|).
+    """
+    a = _A[r]
+
+    def terms(x):
+        xd = x
+        for d in count(1):
+            t = d**s * (-a(-xd) if kind is HAT else a(xd))
+            yield -t if kind is TILDE and d % 2 == 0 else t
+            xd *= x
+
+    def log2_tail(log2_x, k):
+        u = 2.0**log2_x
+        ratio = (1 + 1 / k) ** s * u
+        if ratio >= 1:
+            return math.inf
+        return math.log2(a(u) / u / (1 - ratio)) + s * math.log2(k) + k * log2_x
+
+    return Route(point, terms, log2_tail, c0, c1)
 
 
-def _theta_sum(x, expo: Callable[[int], int], stop):
-    """sum_{k in Z} x^{expo(k)} for a quadratic exponent, walked outward."""
-    total = x ** expo(0)
-    m = 1
-    while True:
-        up = x ** expo(m)
-        dn = x ** expo(-m)
-        if abs(up) < stop and abs(dn) < stop:
-            return total, abs(up) + abs(dn)
-        total += up + dn
-        m += 1
+def _theta(expo: Callable[[int], int], point) -> Route:
+    """sum_{k in Z} x^expo(k) for a quadratic expo with expo(0) = 0.
+
+    m(k) = min(expo(k), expo(-k)) must be a strictly increasing integer for
+    k >= 1; then both exponents at j >= k are at least m(k) + j - k, which
+    gives the tail bound 2 |x|^m(k) / (1 - |x|).
+    """
+
+    def terms(x):
+        return (x ** expo(k) + x ** expo(-k) for k in count(1))
+
+    def log2_tail(log2_x, k):
+        return 1 + min(expo(k), expo(-k)) * log2_x - math.log2(1 - 2.0**log2_x)
+
+    return Route(point, terms, log2_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +144,7 @@ class SpecialValue:
     id: str
     statement: str
     source: str
-    series: Callable  # (stop) -> (mpf, tail scale), inside workprec
+    route: Route
     closed: Callable  # () -> mpf, inside workprec
     zero_target: bool = False  # compare absolutely when the target is 0
     note: Optional[str] = None
@@ -154,33 +166,25 @@ def _p(base, num, den):
     return mp.power(base, mp.mpf(num) / den)
 
 
-def _affine(c0, c1, pair):
-    """c0 + c1 * sum, tail rescaled along."""
-    v, t = pair
-    return c0 + c1 * v, abs(c1) * t
-
-
 def _specials() -> dict[str, SpecialValue]:
     out: list[SpecialValue] = []
 
-    def add(id_, statement, source, series, closed, zero_target=False, note=None):
-        out.append(
-            SpecialValue(id_, statement, source, series, closed, zero_target, note)
-        )
+    def add(*fields, **named):
+        out.append(SpecialValue(*fields, **named))
 
     # signed Eisenstein values at q = -e^{-pi}
     add(
         "hahn.P",
         "P~(-e^{-pi}) = 2/pi",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        lambda stop: _affine(1, 8, _lambert(1, _x_neg_pi(), stop, True, False)),
+        _lambert(TILDE, 0, 1, _x_neg_pi, c1=8),
         lambda: 2 / mp.pi,
     )
     add(
         "hahn.E",
         "E~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        lambda stop: _affine(1, 24, _lambert(1, _x_neg_pi(), stop, False, True)),
+        _lambert(HAT, 0, 1, _x_neg_pi, c1=24),
         lambda: mp.mpf(0),
         zero_target=True,
     )
@@ -188,14 +192,14 @@ def _specials() -> dict[str, SpecialValue]:
         "hahn.Q",
         "Q~(-e^{-pi}) = pi^2 / Gamma(3/4)^8",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        lambda stop: _affine(1, -16, _lambert(3, _x_neg_pi(), stop, True, False)),
+        _lambert(TILDE, 0, 3, _x_neg_pi, c1=-16),
         lambda: mp.pi**2 / gamma_three_quarters() ** 8,
     )
     add(
         "hahn.R",
         "R~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        lambda stop: _affine(1, 8, _lambert(5, _x_neg_pi(), stop, True, False)),
+        _lambert(TILDE, 0, 5, _x_neg_pi, c1=8),
         lambda: mp.mpf(0),
         zero_target=True,
     )
@@ -205,16 +209,14 @@ def _specials() -> dict[str, SpecialValue]:
         "classical.Q_2pi",
         "Q(e^{-2pi}) = 3 pi^2 / (4 Gamma(3/4)^8)",
         "Ramanujan; Berndt, Notebooks (values at e^{-2pi})",
-        lambda stop: _affine(
-            1, 240, _lambert(3, mp.exp(-2 * mp.pi), stop, False, False)
-        ),
+        _lambert(PLAIN, 0, 3, lambda: mp.exp(-2 * mp.pi), c1=240),
         lambda: 3 * mp.pi**2 / (4 * gamma_three_quarters() ** 8),
     )
     add(
         "classical.Q_neg_pi",
         "Q(-e^{-pi}) = -3 pi^2 / Gamma(3/4)^8",
         "Ramanujan; Berndt, Notebooks (companion value at -e^{-pi})",
-        lambda stop: _affine(1, 240, _lambert(3, _x_neg_pi(), stop, False, False)),
+        _lambert(PLAIN, 0, 3, _x_neg_pi, c1=240),
         lambda: -3 * mp.pi**2 / gamma_three_quarters() ** 8,
         note=(
             "equals -4 Q(e^{-2pi}); printed chains sometimes end with the "
@@ -243,12 +245,14 @@ def _specials() -> dict[str, SpecialValue]:
             id_,
             stmt,
             "signed weighted Lambert sums at q = -e^{-pi}",
-            (lambda stop, rr=r_, ss=s_: _phi_tilde(rr, ss, _x_neg_pi(), stop)),
+            _lambert(TILDE, r_, s_, _x_neg_pi, c0=0),
             closed,
             note=note,
         )
 
-    # psi values
+    # psi values: psi(x) = sum_{k>=0} x^{k(k+1)/2} = sum_{k in Z} x^{k(2k+1)}
+    psi_expo = lambda k: k * (2 * k + 1)
+
     def psi3pi_closed():
         rt2, rt3, q14, _, pref = _radical_parts()
         return _p(2, -1, 8) * _p(3, -3, 8) * mp.exp(3 * mp.pi / 8) * _p(
@@ -273,21 +277,21 @@ def _specials() -> dict[str, SpecialValue]:
         "l2.psi3pi",
         "psi(e^{-3pi}) = 2^{-1/8} 3^{-3/8} e^{3pi/8} (1 + sqrt2 3^{1/4} + sqrt3)^{-1/2} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        lambda stop: _psi_sum(mp.exp(-3 * mp.pi), stop),
+        _theta(psi_expo, lambda: mp.exp(-3 * mp.pi)),
         psi3pi_closed,
     )
     add(
         "l2.psi3pi_neg",
         "psi(-e^{-3pi}) = 2^{-3/4} 3^{-1/2} e^{3pi/8} (2 sqrt3 - 3)^{1/4} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        lambda stop: _psi_sum(-mp.exp(-3 * mp.pi), stop),
+        _theta(psi_expo, lambda: -mp.exp(-3 * mp.pi)),
         psi3pi_neg_closed,
     )
     add(
         "l3.psi6pi",
         "psi(e^{-6pi}) = e^{3pi/4} 3^{-3/8} (sqrt3+1)^{-5/6} (1+sqrt3+sqrt2 3^{3/4})^{-2/3} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        lambda stop: _psi_sum(mp.exp(-6 * mp.pi), stop),
+        _theta(psi_expo, lambda: mp.exp(-6 * mp.pi)),
         psi6pi_closed,
     )
 
@@ -329,21 +333,21 @@ def _specials() -> dict[str, SpecialValue]:
         "t6.eps_plus",
         "eps(e^{-pi}) = 2^{-9/8} 3^{-3/8} e^{pi/24} (1+sqrt3+sqrt2 3^{3/4}) (1+sqrt3+sqrt2 3^{1/4})^{-1/2} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        lambda stop: _theta_sum(mp.exp(-mp.pi), eps_expo, stop),
+        _theta(eps_expo, lambda: mp.exp(-mp.pi)),
         eps_plus_closed,
     )
     add(
         "t6.eps_minus",
         "eps(-e^{-pi}) = 2^{-3/4} 3^{-1/2} e^{pi/24} (1+sqrt3) (2 sqrt3 - 3)^{1/4} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        lambda stop: _theta_sum(-mp.exp(-mp.pi), eps_expo, stop),
+        _theta(eps_expo, lambda: -mp.exp(-mp.pi)),
         eps_minus_closed,
     )
     add(
         "t7.eps_2pi",
         "eps(e^{-2pi}) = e^{pi/12} (2+sqrt3+(sqrt2+sqrt6)/2 3^{3/4}) / (3^{3/8} (sqrt3+1)^{5/6} (1+sqrt3+sqrt2 3^{3/4})^{2/3}) pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        lambda stop: _theta_sum(mp.exp(-2 * mp.pi), eps_expo, stop),
+        _theta(eps_expo, lambda: mp.exp(-2 * mp.pi)),
         eps_2pi_closed,
     )
 
@@ -364,7 +368,7 @@ def _specials() -> dict[str, SpecialValue]:
         "t8.f15",
         "f(e^{-pi}, e^{-5pi}) = 2^{-5/4} 3^{-3/8} e^{pi/3} (sqrt3+1)^{5/6} (1+sqrt3+sqrt2 3^{3/4})^{5/3} / ((1+sqrt3+sqrt2 3^{1/4})(2+sqrt3+(sqrt2+sqrt6)/2 3^{3/4})) pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        lambda stop: _theta_sum(mp.exp(-mp.pi), lambda k: 3 * k * k - 2 * k, stop),
+        _theta(lambda k: 3 * k * k - 2 * k, lambda: mp.exp(-mp.pi)),
         f15_closed,
     )
 
@@ -378,12 +382,9 @@ def check_special(id_: str, precision: int = 256) -> dict:
     """Compare the defining sum with the closed form at `precision` bits.
 
     Passes when the relative error (absolute, for zero targets) is below
-    2^-(precision-32). The sum is truncated at the first term below
-    2^-(precision+16); working precision starts at precision + 64 bits and is
-    widened when that omitted term sits below the resolution (theta tails
-    jump quadratically), so the reported error is the actual truncation
-    residual, not arithmetic noise. Returns a JSON-ready report. Precisions
-    below MIN_PRECISION raise ValueError.
+    2^-(precision-32); the sum is cut where its proved tail bound falls below
+    2^-(precision+16) (see the module docstring). Returns a JSON-ready
+    report. Precisions below MIN_PRECISION raise ValueError.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
@@ -391,15 +392,13 @@ def check_special(id_: str, precision: int = 256) -> dict:
         known = ", ".join(sorted(SPECIALS))
         raise KeyError(f"unknown special value {id_!r}; known ids: {known}")
     sv = SPECIALS[id_]
-    work = precision + _GUARD_BITS
-    with mp.workprec(work):
-        stop = mp.mpf(2) ** (-(precision + _STOP_MARGIN))
-        _, tail = sv.series(stop)
-        # resolution needed to see the residual above rounding error
-        work = max(work, -mp.mag(tail) + _GUARD_BITS if tail > 0 else 0)
-    with mp.workprec(work):
-        stop = mp.mpf(2) ** (-(precision + _STOP_MARGIN))
-        got, _ = sv.series(stop)
+    route = sv.route
+    with mp.workprec(_GUARD_BITS):
+        log2_x = float(mp.log(abs(route.point()), 2)) + _LOG2_SLACK
+    n, log2_bound = route.stop(log2_x, precision + _STOP_MARGIN)
+    with mp.workprec(math.ceil(-log2_bound) + _GUARD_BITS):
+        partial = sum(islice(route.terms(route.point()), n - 1), mp.mpf(0))
+        got = route.c0 + route.c1 * partial
         want = sv.closed()
         abs_err = abs(got - want)
         rel_err = abs_err / abs(want) if want != 0 else abs_err

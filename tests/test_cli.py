@@ -203,6 +203,22 @@ def test_expand_invalid_theta_exponent_is_unknown_name(capsys):
     assert "unknown series name 'theta_p0_p1'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convolve", "--identity", "cor1.a", "--nmax", "0"],
+        ["convolve", "--all", "--nmax", "0"],
+        ["verify", "--all", "--order", "0", "--nmax", "0", "--precision", "64"],
+    ],
+    ids=["convolve-one", "convolve-all", "verify-all"],
+)
+def test_bound_outside_convolution_domain_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "no n in 0..0 lies in its domain" in err
+
+
 @pytest.mark.parametrize("flag", ["--order", "--precision"])
 def test_convolve_rejects_unused_options(capsys, flag):
     with pytest.raises(SystemExit) as exc:

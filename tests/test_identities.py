@@ -7,6 +7,7 @@ import pytest
 from qram import series as S
 from qram.divisors import DivisorKind, divisor_sum
 from qram.generators import eisenstein
+from qram.numeric import SPECIALS
 from qram.identities import (
     Identity,
     RunConfig,
@@ -36,10 +37,7 @@ def test_registry_entries_are_described():
     for e in registry():
         assert e.statement.strip()
         assert e.source.strip()
-        if e.kind == "numeric-ref":
-            assert e.numeric_id
-        else:
-            assert e.numeric_id is None
+        assert (e.kind == "numeric-ref") == (e.id in SPECIALS)
 
 
 def test_full_exact_sweep_at_reduced_orders():
@@ -96,6 +94,30 @@ def test_convolution_driver_respects_domain():
     # odd-n identities are false off their domain; driver must not probe there
     lhs, rhs = ident.lhs_seq(8), ident.rhs_seq(8)
     assert lhs[4] != rhs[4]
+
+
+@pytest.mark.parametrize(
+    "id_, domain",
+    [
+        ("cor1.a", "odd n >= 1"),
+        ("cor1.b", "odd n >= 1"),
+        ("t12", "odd n >= 1"),
+        ("cheng_williams", "n >= 1"),
+        ("remark.tilde", "n >= 1"),
+        ("remark.hat", "n >= 1"),
+    ],
+)
+def test_convolution_bound_outside_domain_is_rejected(id_, domain):
+    # at n_max = 0 nothing in these domains is compared, so no pass is owed
+    with pytest.raises(ValueError) as exc:
+        verify_convolution(id_, 0)
+    assert f"{id_}: no n in 0..0 lies in its domain ({domain})" in str(exc.value)
+    assert verify_convolution(id_, 1).status == "pass"
+
+
+def test_convolution_bound_zero_inside_domain_passes():
+    rep = verify_convolution("t9", 0)
+    assert (rep.status, rep.checked_up_to) == ("pass", 0)
 
 
 def test_corrupted_identity_is_located():

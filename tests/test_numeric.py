@@ -1,10 +1,15 @@
 """High-precision evaluation against closed forms."""
 
+from itertools import islice
+
 import mpmath as mp
 import pytest
 
+from qram.divisors import DivisorKind
 from qram.numeric import (
     SPECIALS,
+    _lambert,
+    _theta,
     check_all_specials,
     check_special,
     gamma_quarter,
@@ -97,3 +102,48 @@ def test_check_special_rejects_vacuous_precision(bits):
     with pytest.raises(ValueError):
         check_special("hahn.P", bits)
     assert check_special("hahn.P", 64)["status"] == "pass"
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+def test_residual_is_below_the_stop_bound(bits):
+    # each sum stops where its proved tail bound is below 2^-(bits+16)
+    tol = mp.mpf(2) ** -(bits + 16)
+    for id_ in sorted(SPECIALS):
+        rep = check_special(id_, bits)
+        assert mp.mpf(rep["abs_err"]) < tol, (id_, rep["abs_err"])
+
+
+def _assert_tail_bound_holds(route, bits=64):
+    """At the stop index N the route picks, the partial sum to N-1 lies
+    within the claimed bound of the sum to 2N."""
+    with mp.workprec(64):
+        log2_x = float(mp.log(abs(route.point()), 2))
+    n, log2_bound = route.stop(log2_x, bits)
+    assert log2_bound < -bits
+    with mp.workprec(bits + 256):
+        terms = list(islice(route.terms(route.point()), 2 * n))
+        gap = abs(route.c1 * (mp.fsum(terms[: n - 1]) - mp.fsum(terms)))
+        assert gap < mp.mpf(2) ** log2_bound, (n, gap, log2_bound)
+
+
+# |x| = 0.9: Lambert terms grow for about s / -ln|x| = 120 indices and
+# theta terms decay slowly, far from the small |x| of the special values
+@pytest.mark.parametrize("x", ["0.9", "-0.9"])
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("kind", list(DivisorKind), ids=lambda k: k.value)
+def test_lambert_tail_bound_near_unit_radius(kind, r, x):
+    _assert_tail_bound_holds(_lambert(kind, r, 13, lambda: mp.mpf(x), c1=-16))
+
+
+@pytest.mark.parametrize("x", ["0.9", "-0.9"])
+@pytest.mark.parametrize(
+    "expo",
+    [
+        lambda k: k * (2 * k + 1),
+        lambda k: k * (3 * k + 1) // 2,
+        lambda k: 3 * k * k - 2 * k,
+    ],
+    ids=["psi", "eps", "f15"],
+)
+def test_theta_tail_bound_near_unit_radius(expo, x):
+    _assert_tail_bound_holds(_theta(expo, lambda: mp.mpf(x)))
