@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import merge
 from itertools import count, islice
 from typing import Callable, Optional
 
@@ -121,16 +122,25 @@ def _lambert(kind: DivisorKind, r: int, s: int, point, c0=1, c1=1) -> Route:
 def _theta(expo: Callable[[int], int], point) -> Route:
     """sum_{k in Z} x^expo(k) for a quadratic expo with expo(0) = 0.
 
-    m(k) = min(expo(k), expo(-k)) must be a strictly increasing integer for
-    k >= 1; then both exponents at j >= k are at least m(k) + j - k, which
-    gives the tail bound 2 |x|^m(k) / (1 - |x|).
+    expo(k) and expo(-k) must each be strictly increasing integers for k >= 1.
+    The terms x^e come in increasing order of e, both sides merged, so the
+    exponents left from the k-th term e_k on are, on each side, distinct
+    integers >= e_k: the tail bound is 2 |x|^e_k / (1 - |x|).
     """
 
+    merged = merge((expo(k) for k in count(1)), (expo(-k) for k in count(1)))
+    known: list[int] = []  # merged's exponents so far: e_k is known[k - 1]
+
+    def exponent(k):
+        while len(known) < k:
+            known.append(next(merged))
+        return known[k - 1]
+
     def terms(x):
-        return (x ** expo(k) + x ** expo(-k) for k in count(1))
+        return (x ** exponent(k) for k in count(1))
 
     def log2_tail(log2_x, k):
-        return 1 + min(expo(k), expo(-k)) * log2_x - math.log2(1 - 2.0**log2_x)
+        return 1 + exponent(k) * log2_x - math.log2(1 - 2.0**log2_x)
 
     return Route(point, terms, log2_tail)
 

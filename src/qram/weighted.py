@@ -1,7 +1,8 @@
 """Graded polynomial algebra in the Eisenstein generators, with derivations.
 
-Two rings share one representation, a map from exponent tuples (i, j, k, l) to
-Fraction coefficients:
+Two rings share one representation, the layout of series.Series: Python-int
+numerators keyed by exponent tuples (i, j, k, l), over one positive common
+denominator, in lowest terms. The algebra runs on the ints.
 
     classical: P^i Q^k R^l          (the j slot is padding, always 0)
     hahn:      P^i E^j Q^k R^l      (the signed-divisor generators; printed with
@@ -22,6 +23,7 @@ representation-independent ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -40,41 +42,45 @@ _GEN_EXPS: dict[str, Exps] = {
 _WEIGHTS = (2, 2, 4, 6)
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class WeightedPoly:
+    """nums[exps] / den is the coefficient of the monomial with exponents exps.
+
+    Construction drops zero numerators and reduces to lowest terms, den > 0
+    and gcd(den, *nums) == 1, so equal fields mean equal polynomials.
+    """
+
     ring: str  # "classical" or "hahn"
-    terms: Mapping[Exps, Fraction] = field(default_factory=dict)
+    nums: Mapping[Exps, int] = field(default_factory=dict)
+    den: int = 1
 
     def __post_init__(self):
         if self.ring not in ("classical", "hahn"):
             raise ValueError(f"unknown ring {self.ring!r}")
-        clean = {}
-        for exps, c in self.terms.items():
-            c = _frac(c)
-            if c == 0:
-                continue  # no zero coefficients stored
-            if self.ring == "classical" and exps[1] != 0:
-                raise ValueError("classical ring has no second generator (j must be 0)")
-            clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
+        if self.den == 0:
+            raise ZeroDivisionError("WeightedPoly denominator is zero")
+        nums = {e: c for e, c in self.nums.items() if c}
+        if self.ring == "classical" and any(e[1] for e in nums):
+            raise ValueError("classical ring has no second generator (j must be 0)")
+        g = math.gcd(self.den, *nums.values()) * (1 if self.den > 0 else -1)
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", self.den // g)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+    @property
+    def terms(self) -> dict[Exps, Fraction]:
+        """Read-only Fraction view, rebuilt on each access; the algebra uses nums/den."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.nums.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def weights(self) -> set[int]:
-        return {sum(w * e for w, e in zip(_WEIGHTS, exps)) for exps in self.terms}
+        return {sum(w * e for w, e in zip(_WEIGHTS, exps)) for exps in self.nums}
 
     def homogeneous_weight(self) -> int | None:
         """The common weight of all terms, or None if inhomogeneous/zero."""
@@ -83,26 +89,29 @@ class WeightedPoly:
 
     def __add__(self, other: "WeightedPoly") -> "WeightedPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return WeightedPoly(self.ring, out)
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        out = {e: c * ma for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            out[e] = out.get(e, 0) + c * mb
+        return WeightedPoly(self.ring, out, den)
 
     def __sub__(self, other: "WeightedPoly") -> "WeightedPoly":
         return self + other.scale(-1)
 
     def scale(self, c) -> "WeightedPoly":
-        c = _frac(c)
-        return WeightedPoly(self.ring, {e: c * v for e, v in self.terms.items()})
+        c = Fraction(c)
+        nums = {e: c.numerator * v for e, v in self.nums.items()}
+        return WeightedPoly(self.ring, nums, c.denominator * self.den)
 
     def __mul__(self, other: "WeightedPoly") -> "WeightedPoly":
         self._check(other)
-        out: dict[Exps, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return WeightedPoly(self.ring, out)
+        out: dict[Exps, int] = {}
+        for (i, j, k, l), x in self.nums.items():
+            for (i2, j2, k2, l2), y in other.nums.items():
+                e = (i + i2, j + j2, k + k2, l + l2)
+                out[e] = out.get(e, 0) + x * y
+        return WeightedPoly(self.ring, out, self.den * other.den)
 
     def __pow__(self, n: int) -> "WeightedPoly":
         if n < 0:
@@ -129,14 +138,20 @@ class WeightedPoly:
         return f"WeightedPoly({self.ring}, {pretty(self)!r})"
 
 
+def from_terms(ring: str, terms: Mapping[Exps, int | Fraction]) -> WeightedPoly:
+    """WeightedPoly from rational (int or Fraction) coefficients."""
+    den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    return WeightedPoly(ring, {e: int(Fraction(c) * den) for e, c in terms.items()}, den)
+
+
 def constant(ring: str, c) -> WeightedPoly:
-    return WeightedPoly(ring, {(0, 0, 0, 0): _frac(c)})
+    return from_terms(ring, {(0, 0, 0, 0): c})
 
 
 def gen(ring: str, name: str) -> WeightedPoly:
     if ring == "classical" and name == "E":
         raise ValueError("classical ring generators are P, Q, R")
-    return WeightedPoly(ring, {_GEN_EXPS[name]: Fraction(1)})
+    return WeightedPoly(ring, {_GEN_EXPS[name]: 1})
 
 
 @dataclass(frozen=True)
@@ -161,15 +176,11 @@ class DerivationRules:
                 )
 
     def rescaled(self, new_scale) -> "DerivationRules":
-        new_scale = _frac(new_scale)
+        new_scale = Fraction(new_scale)
         f = new_scale / self.scale
         return DerivationRules(
             self.ring, new_scale, {n: p.scale(f) for n, p in self.images.items()}
         )
-
-
-def _wp(ring: str, spec: dict[Exps, int | Fraction]) -> WeightedPoly:
-    return WeightedPoly(ring, {e: _frac(c) for e, c in spec.items()})
 
 
 # 12 q d/dq on the classical ring (Ramanujan's system, scale 12):
@@ -178,9 +189,9 @@ CLASSICAL_RULES = DerivationRules(
     "classical",
     Fraction(12),
     {
-        "P": _wp("classical", {(2, 0, 0, 0): 1, (0, 0, 1, 0): -1}),
-        "Q": _wp("classical", {(1, 0, 1, 0): 4, (0, 0, 0, 1): -4}),
-        "R": _wp("classical", {(1, 0, 0, 1): 6, (0, 0, 2, 0): -6}),
+        "P": WeightedPoly("classical", {(2, 0, 0, 0): 1, (0, 0, 1, 0): -1}),
+        "Q": WeightedPoly("classical", {(1, 0, 1, 0): 4, (0, 0, 0, 1): -4}),
+        "R": WeightedPoly("classical", {(1, 0, 0, 1): 6, (0, 0, 2, 0): -6}),
     },
 )
 
@@ -191,10 +202,10 @@ HAHN_RULES = DerivationRules(
     "hahn",
     Fraction(4),
     {
-        "P": _wp("hahn", {(2, 0, 0, 0): 1, (0, 0, 1, 0): -1}),
-        "E": _wp("hahn", {(1, 1, 0, 0): 2, (0, 0, 1, 0): -2}),
-        "Q": _wp("hahn", {(1, 0, 1, 0): 4, (0, 1, 1, 0): -4}),
-        "R": _wp(
+        "P": WeightedPoly("hahn", {(2, 0, 0, 0): 1, (0, 0, 1, 0): -1}),
+        "E": WeightedPoly("hahn", {(1, 1, 0, 0): 2, (0, 0, 1, 0): -2}),
+        "Q": WeightedPoly("hahn", {(1, 0, 1, 0): 4, (0, 1, 1, 0): -4}),
+        "R": WeightedPoly(
             "hahn",
             {(1, 0, 0, 1): 6, (0, 0, 2, 0): -2, (0, 1, 0, 1): -4},
         ),
@@ -204,20 +215,24 @@ HAHN_RULES = DerivationRules(
 
 def derive(rules: DerivationRules, p: WeightedPoly) -> WeightedPoly:
     """Leibniz extension of the generator rules; equals scale * q d/dq of the
-    corresponding series under eval_as_series."""
+    corresponding series under eval_as_series. Every c * m * (image term) is
+    added in place, over p.den times the images' common denominator."""
     if rules.ring != p.ring:
         raise ValueError(f"ring mismatch: rules are {rules.ring}, poly is {p.ring}")
-    out = WeightedPoly(p.ring, {})
-    for exps, c in p.terms.items():
+    den = math.lcm(*(img.den for img in rules.images.values()))
+    out: dict[Exps, int] = {}
+    for exps, c in p.nums.items():
         for pos, name in enumerate("PEQR"):
             m = exps[pos]
             if m == 0 or name not in rules.images:
                 continue
-            lowered = list(exps)
-            lowered[pos] -= 1
-            prefix = WeightedPoly(p.ring, {tuple(lowered): c * m})
-            out = out + prefix * rules.images[name]
-    return out
+            image = rules.images[name]
+            i, j, k, l = exps[:pos] + (m - 1,) + exps[pos + 1 :]
+            cm = c * m * (den // image.den)
+            for (di, dj, dk, dl), v in image.nums.items():
+                e = (i + di, j + dj, k + dk, l + dl)
+                out[e] = out.get(e, 0) + cm * v
+    return WeightedPoly(p.ring, out, p.den * den)
 
 
 def canonicalize(p: WeightedPoly) -> WeightedPoly:
@@ -227,12 +242,12 @@ def canonicalize(p: WeightedPoly) -> WeightedPoly:
     """
     if p.ring != "hahn":
         return p
-    out: dict[Exps, Fraction] = {}
-    for (i, j, k, l), c in p.terms.items():
+    out: dict[Exps, int] = {}
+    for (i, j, k, l), c in p.nums.items():
         m = min(j, k)
         e = (i, j - m, k - m, l + m)
-        out[e] = out.get(e, Fraction(0)) + c
-    return WeightedPoly("hahn", out)
+        out[e] = out.get(e, 0) + c
+    return WeightedPoly("hahn", out, p.den)
 
 
 # family -> (ring, derivation scale, logarithmic-derivative base g)
@@ -266,7 +281,7 @@ def ratio_poly(fam: str, n: int) -> WeightedPoly:
     if n < 0:
         raise ValueError("ratio_poly: n must be >= 0")
     ring, _, gspec = _FAMILY_SETUP[fam]
-    g = _wp(ring, gspec)
+    g = WeightedPoly(ring, gspec)
     rules = family_rules(fam)
     r = constant(ring, 1)
     for _ in range(n):
@@ -309,12 +324,12 @@ def phi_poly(variant: str, r: int, s: int) -> WeightedPoly:
     return canonicalize(p)
 
 
-# the classical generators expressed in the hahn ring:
-#   P = 3P~ - 2E~,  Q = 4E~^2 - 3Q~,  R = -8E~^3 + 9R~
+# the classical generators expressed in the hahn ring, all with integer
+# coefficients:  P = 3P~ - 2E~,  Q = 4E~^2 - 3Q~,  R = -8E~^3 + 9R~
 _L1_IMAGES = {
-    "P": _wp("hahn", {(1, 0, 0, 0): 3, (0, 1, 0, 0): -2}),
-    "Q": _wp("hahn", {(0, 2, 0, 0): 4, (0, 0, 1, 0): -3}),
-    "R": _wp("hahn", {(0, 3, 0, 0): -8, (0, 0, 0, 1): 9}),
+    "P": WeightedPoly("hahn", {(1, 0, 0, 0): 3, (0, 1, 0, 0): -2}),
+    "Q": WeightedPoly("hahn", {(0, 2, 0, 0): 4, (0, 0, 1, 0): -3}),
+    "R": WeightedPoly("hahn", {(0, 3, 0, 0): -8, (0, 0, 0, 1): 9}),
 }
 
 
@@ -326,14 +341,12 @@ def classical_to_hahn(p: WeightedPoly) -> WeightedPoly:
     """
     if p.ring != "classical":
         raise ValueError("classical_to_hahn substitutes classical generators")
-    out = WeightedPoly("hahn", {})
-    for (i, _, k, l), c in p.terms.items():
-        term = constant("hahn", c)
-        term = term * _L1_IMAGES["P"] ** i
-        term = term * _L1_IMAGES["Q"] ** k
-        term = term * _L1_IMAGES["R"] ** l
-        out = out + term
-    return out
+    out: dict[Exps, int] = {}
+    for (i, _, k, l), c in p.nums.items():
+        image = _L1_IMAGES["P"] ** i * _L1_IMAGES["Q"] ** k * _L1_IMAGES["R"] ** l
+        for e, v in image.nums.items():  # image.den == 1: integer images
+            out[e] = out.get(e, 0) + c * v
+    return WeightedPoly("hahn", out, p.den)
 
 
 def _generator_series(ring: str, order: int) -> dict[str, S.Series]:
@@ -347,28 +360,27 @@ def _generator_series(ring: str, order: int) -> dict[str, S.Series]:
 
 
 def eval_as_series(p: WeightedPoly, order: int) -> S.Series:
-    """Substitute the generator q-expansions and expand to the given order."""
-    gens = _generator_series(p.ring, order)
-    # cache generator powers; exponents repeat heavily across terms
-    powers: dict[tuple[str, int], S.Series] = {}
+    """Substitute the generator q-expansions and expand to the given order.
 
-    def power(name: str, e: int) -> S.Series:
-        key = (name, e)
-        if key not in powers:
-            if e == 1:
-                powers[key] = gens[name]
-            else:
-                powers[key] = S.mul(power(name, e - 1), gens[name])
-        return powers[key]
+    Each distinct monomial of degree >= 2 costs one S.mul, as its parent (last
+    nonzero exponent lowered by one) times that generator; the terms are
+    summed on the int numerators and divided by the denominator once.
+    """
+    gens = _generator_series(p.ring, order)
+    table = {_GEN_EXPS[name]: g for name, g in gens.items()}
+    table[(0, 0, 0, 0)] = S.one(order)
+
+    def monomial(exps: Exps) -> S.Series:
+        if exps not in table:
+            pos = max(q for q, e in enumerate(exps) if e)
+            parent = exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :]
+            table[exps] = S.mul(monomial(parent), gens["PEQR"[pos]])
+        return table[exps]
 
     total = S.zero(order)
-    for exps, c in p.terms.items():
-        term = S.one(order)
-        for name, e in zip("PEQR", exps):
-            if e:
-                term = S.mul(term, power(name, e))
-        total = S.add(total, S.scale(c, term))
-    return total
+    for exps, c in p.nums.items():
+        total = S.add(total, S.scale(c, monomial(exps)))
+    return S.scale(Fraction(1, p.den), total)
 
 
 _LETTERS = {

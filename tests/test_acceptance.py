@@ -25,10 +25,10 @@ from qram.numeric import SPECIALS, check_special
 from qram.weighted import (
     CLASSICAL_RULES,
     HAHN_RULES,
-    WeightedPoly,
     canonicalize,
     derive,
     eval_as_series,
+    from_terms,
     gen,
     phi_poly,
     ratio_poly,
@@ -45,7 +45,7 @@ def _verdict(k: int, failures: list, capsys) -> None:
 
 
 def _wp(ring, spec):
-    return WeightedPoly(ring, {e: Fraction(c) for e, c in spec.items()})
+    return from_terms(ring, spec)
 
 
 # exps tuples are (i, j, k, l) for P^i E^j Q^k R^l; E is the signed ring only

@@ -252,3 +252,20 @@ def test_golden_output(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+# sha256 of the concatenated stdout of derive --family FAM --index N --format json
+# for FAM in T, F, psi, eps and N = 0..12, in that order
+DERIVE_GOLDEN = "34c97af5979bdac14b6e24dee4ac3de76f236903e87023be8a5749e8d5f55d02"
+
+
+def test_derive_golden_output(capsys):
+    digest = hashlib.sha256()
+    for fam in ("T", "F", "psi", "eps"):
+        for n in range(13):
+            code, out, _ = run(
+                capsys, "derive", "--family", fam, "--index", str(n), "--format", "json"
+            )
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == DERIVE_GOLDEN

@@ -7,6 +7,8 @@ import pytest
 
 from qram.divisors import DivisorKind
 from qram.numeric import (
+    _LOG2_SLACK,
+    _STOP_MARGIN,
     SPECIALS,
     _lambert,
     _theta,
@@ -147,3 +149,34 @@ def test_lambert_tail_bound_near_unit_radius(kind, r, x):
 )
 def test_theta_tail_bound_near_unit_radius(expo, x):
     _assert_tail_bound_holds(_theta(expo, lambda: mp.mpf(x)))
+
+
+THETA_IDS = (
+    "l2.psi3pi", "l2.psi3pi_neg", "l3.psi6pi",
+    "t6.eps_minus", "t6.eps_plus", "t7.eps_2pi", "t8.f15",
+)
+
+
+def _exponents(route, n):
+    """The exponents in the first n terms of a theta route, read off at x = 2."""
+    found = set()
+    with mp.workprec(64):
+        for t in islice(route.terms(mp.mpf(2)), n):
+            v = int(t)
+            found |= {i for i in range(v.bit_length()) if v >> i & 1}
+    return found
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+@pytest.mark.parametrize("id_", THETA_IDS)
+def test_theta_stop_is_within_one_exponent_step(id_, bits):
+    # the sum stops at the first exponent whose tail bound meets the target,
+    # so the bound lies below it by at most one step between exponents
+    route = SPECIALS[id_].route
+    with mp.workprec(64):
+        log2_x = float(mp.log(abs(route.point()), 2)) + _LOG2_SLACK
+    target = -(bits + _STOP_MARGIN)
+    n, log2_bound = route.stop(log2_x, -target)
+    summed = _exponents(route, n - 1)
+    step = min(_exponents(route, n + 1) - summed) - max(summed, default=0)
+    assert target + step * log2_x <= log2_bound < target, (n, step, log2_bound)

@@ -1,5 +1,6 @@
 """Graded polynomial algebra: derivations, recurrences, frozen tables."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from qram.weighted import (
     derive,
     eval_as_series,
     family_rules,
+    from_terms,
     gen,
     phi_poly,
     pretty,
@@ -27,20 +29,117 @@ from qram.weighted import (
 
 
 def wp(ring, spec):
-    return WeightedPoly(ring, {e: Fraction(c) for e, c in spec.items()})
+    return from_terms(ring, spec)
 
 
-def poly_st(ring):
+def terms_st(ring, max_denominator=6, max_size=4):
     exps = st.tuples(
         st.integers(0, 2),
         st.integers(0, 2) if ring == "hahn" else st.just(0),
         st.integers(0, 2),
         st.integers(0, 1),
     )
-    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-    return st.dictionaries(exps, coeff, max_size=4).map(
-        lambda d: WeightedPoly(ring, d)
-    )
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=max_denominator)
+    return st.dictionaries(exps, coeff, max_size=max_size)
+
+
+def poly_st(ring):
+    return terms_st(ring).map(lambda d: from_terms(ring, d))
+
+
+# a test-side Fraction-dict implementation of the algebra, as the oracle
+
+
+def f_clean(xs):
+    return {e: c for e, c in xs.items() if c}
+
+
+def f_add(xs, ys):
+    out = dict(xs)
+    for e, c in ys.items():
+        out[e] = out.get(e, 0) + c
+    return f_clean(out)
+
+
+def f_scale(c, xs):
+    return f_clean({e: c * v for e, v in xs.items()})
+
+
+def f_mul(xs, ys):
+    out = {}
+    for e1, c1 in xs.items():
+        for e2, c2 in ys.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return f_clean(out)
+
+
+def f_derive(images, xs):
+    """c X^m Y -> c m image(X) X^(m-1) Y, summed over the generators X."""
+    out = {}
+    for exps, c in xs.items():
+        for pos, name in enumerate("PEQR"):
+            m = exps[pos]
+            if m and name in images:
+                lowered = exps[:pos] + (m - 1,) + exps[pos + 1 :]
+                for e, v in images[name].items():
+                    key = tuple(u + w for u, w in zip(lowered, e))
+                    out[key] = out.get(key, 0) + c * m * v
+    return f_clean(out)
+
+
+def f_canonicalize(xs):
+    out = {}
+    for (i, j, k, l), c in xs.items():
+        m = min(j, k)
+        e = (i, j - m, k - m, l + m)
+        out[e] = out.get(e, 0) + c
+    return f_clean(out)
+
+
+def assert_normal_form(p):
+    assert all(type(v) is int and v != 0 for v in p.nums.values())
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    again = from_terms(p.ring, p.terms)
+    assert again == p and hash(again) == hash(p)
+
+
+# both rings; the F and rescaled hahn rules have images over denominators 3, 4
+ORACLE_RULES = [
+    CLASSICAL_RULES,
+    HAHN_RULES,
+    family_rules("F"),
+    family_rules("eps"),
+    HAHN_RULES.rescaled(3),
+]
+
+
+@given(st.sampled_from(ORACLE_RULES), st.data())
+@settings(max_examples=200)
+def test_integer_algebra_matches_fraction_oracle(rules, data):
+    ring = rules.ring
+    xs = data.draw(terms_st(ring, max_denominator=12, max_size=6))
+    ys = data.draw(terms_st(ring, max_denominator=12, max_size=6))
+    c = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    a, b = from_terms(ring, xs), from_terms(ring, ys)
+    images = {name: img.terms for name, img in rules.images.items()}
+    want_canonical = f_canonicalize(xs) if ring == "hahn" else f_clean(xs)
+    cases = [
+        (a + b, f_add(xs, ys)),
+        (a - b, f_add(xs, f_scale(-1, ys))),
+        (a.scale(c), f_scale(c, xs)),
+        (a * b, f_mul(xs, ys)),
+        (derive(rules, a), f_derive(images, xs)),
+        (canonicalize(a), want_canonical),
+        (a - a, {}),
+        (a + b - b, f_clean(xs)),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        assert_normal_form(got)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
+    assert (a - a).den == 1
 
 
 @given(poly_st("hahn"), poly_st("hahn"))
@@ -69,9 +168,21 @@ def test_rules_validate_weights():
         )
 
 
+def test_normal_form_on_construction():
+    p = WeightedPoly("hahn", {(1, 0, 0, 0): 2, (0, 1, 0, 0): -4, (0, 0, 1, 0): 0}, -6)
+    assert (p.nums, p.den) == ({(1, 0, 0, 0): -1, (0, 1, 0, 0): 2}, 3)
+    assert p == from_terms(
+        "hahn", {(1, 0, 0, 0): Fraction(-1, 3), (0, 1, 0, 0): Fraction(2, 3)}
+    )
+    assert WeightedPoly("classical", {(0, 0, 1, 0): 0}, 5) == WeightedPoly("classical")
+    assert WeightedPoly("classical").den == 1
+    with pytest.raises(ZeroDivisionError):
+        WeightedPoly("classical", {(0, 0, 1, 0): 1}, 0)
+
+
 def test_classical_ring_rejects_second_generator():
     with pytest.raises(ValueError):
-        WeightedPoly("classical", {(0, 1, 0, 0): Fraction(1)})
+        WeightedPoly("classical", {(0, 1, 0, 0): 1})
 
 
 def test_derive_matches_euler_operator_on_series():
