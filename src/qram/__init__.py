@@ -14,7 +14,6 @@ from .divisors import (
     convolution_sequence,
     divisor_sum,
     divisor_sum_table,
-    extrapolated_boundary,
 )
 from .generators import (
     eisenstein,

@@ -8,9 +8,10 @@ Three divisor-sum flavors, integers for n >= 1:
                                                      equivalently the odd-divisor sum)
 
 Convention: every flavor is 0 when n is negative or not an integer, which makes
-expressions like sigma_s(n/2) uniform. At n = 0 the classical rational boundary
-values apply (sigma_3(0) = 1/240 and friends); these are a closed table, looked
-up with boundary_value, never silently assumed.
+expressions like sigma_s(n/2) uniform. At n = 0 a flavor takes the rational
+boundary value b that makes its generator (b + sum sigma_s(n) q^n)/b start
+with 1 (sigma_3(0) = 1/240 from Q, sigma~_1(0) = 1/8 from P~); boundary_value
+derives it, and a pair with no generator has none.
 
 convolution() is the brute-force oracle for the convolution identities: a literal
 sum over all compositions i_1 + ... + i_k = n of products of divisor sums, using
@@ -50,13 +51,8 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-# The classical boundary values at n = 0, per flavor and weight. A closed table:
-# each constant is pinned by the convolution identities that use it, and callers
-# must not extrapolate silently (see extrapolated_boundary for the plain pattern).
-_BOUNDARY = {
-    (DivisorKind.PLAIN, 3): Fraction(1, 240),
-    (DivisorKind.PLAIN, 5): Fraction(-1, 504),
-    (DivisorKind.PLAIN, 7): Fraction(1, 480),
+# The signed flavors' boundary values, one per signed generator (Hahn 2007).
+_SIGNED_BOUNDARY = {
     (DivisorKind.TILDE, 1): Fraction(1, 8),
     (DivisorKind.TILDE, 3): Fraction(-1, 16),
     (DivisorKind.TILDE, 5): Fraction(1, 8),
@@ -65,27 +61,21 @@ _BOUNDARY = {
 
 
 def boundary_value(kind: DivisorKind, s: int) -> Fraction:
-    """The rational value assigned to a divisor sum at n = 0.
+    """The rational value b assigned to a divisor sum at n = 0.
 
-    Raises LookupError for pairs outside the closed table.
+    Each generator is (b + sum_{n>=1} sigma_s(n) q^n) / b, with constant
+    term 1. For the plain flavor and odd s >= 1 that is E_{s+1}, so
+    b = -B_{s+1}/(2(s+1)); the signed pairs are the four signed generators.
+    Raises LookupError for a pair with no generator.
     """
+    if kind is DivisorKind.PLAIN and s >= 1 and s % 2:
+        return -bernoulli(s + 1) / (2 * (s + 1))
     try:
-        return _BOUNDARY[(kind, s)]
+        return _SIGNED_BOUNDARY[(kind, s)]
     except KeyError:
         raise LookupError(
             f"no boundary value defined for ({kind.value}, s={s})"
         ) from None
-
-
-def extrapolated_boundary(s: int) -> Fraction:
-    """-B_{s+1}/(2(s+1)) for odd s: the pattern behind the plain table entries.
-
-    Documented helper only; the identity suite uses boundary_value's table.
-    """
-    if s < 1 or s % 2 == 0:
-        raise ValueError("extrapolated_boundary: s must be a positive odd integer")
-    k2 = s + 1  # 2k
-    return -bernoulli(k2) / (2 * k2)
 
 
 def _divisors(n: int) -> list[int]:
@@ -174,14 +164,12 @@ def convolution(terms: list[tuple[DivisorKind, int]], n: int) -> Fraction:
     return fold(list(terms), n)
 
 
-def convolution_sequence(
-    terms: list[tuple[DivisorKind, int]], n_max: int
-) -> list[Fraction]:
-    """Values of convolution(terms, n) for all n = 0..n_max, in one pass.
+def convolution_sequence(terms: list[tuple[DivisorKind, int]], n_max: int):
+    """Values of convolution(terms, n) for all n = 0..n_max, as one Series.
 
-    The q^n coefficients of the product of the factors' series
-    sum_{n>=0} sigma_s(n) q^n, each with its boundary value as the constant
-    term. Agrees entrywise with convolution().
+    The product of the factors' series sum_{n>=0} sigma_s(n) q^n, each with
+    its boundary value as the constant term, to order n_max. Agrees
+    coefficientwise with convolution().
     """
     from . import series as S  # series imports this module
 
@@ -191,4 +179,4 @@ def convolution_sequence(
         S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
         for kind, s in terms
     ]
-    return list(reduce(S.mul, factors).coeffs)
+    return reduce(S.mul, factors)

@@ -12,10 +12,15 @@ All builders take an explicit truncation order and return exact Series.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from . import series as S
-from .divisors import DivisorKind, bernoulli, divisor_sum_table
+from .divisors import DivisorKind, boundary_value, divisor_sum_table
+
+
+def _unit_lambert(kind: DivisorKind, s: int, order: int) -> S.Series:
+    """c (b + sum sigma_s(n) q^n) with b the boundary value and c = 1/b."""
+    c = 1 / boundary_value(kind, s)
+    return S.add(S.one(order), S.scale(c, S.lambert(kind, s, order)))
 
 
 def eisenstein(k: int, order: int) -> S.Series:
@@ -25,17 +30,15 @@ def eisenstein(k: int, order: int) -> S.Series:
     """
     if k < 1:
         raise ValueError("eisenstein: k must be >= 1")
-    c = Fraction(-4 * k) / bernoulli(2 * k)
-    return S.add(S.one(order), S.scale(c, S.lambert(DivisorKind.PLAIN, 2 * k - 1, order)))
+    return _unit_lambert(DivisorKind.PLAIN, 2 * k - 1, order)
 
 
+# letter -> (kind, weight s); the scalar is 1/boundary_value(kind, s)
 _HAHN_SPEC = {
-    # letter -> (kind, weight s, scalar multiplier); constant term comes out 1
-    # because the scalar times the boundary value is 1 in each case
-    "P": (DivisorKind.TILDE, 1, 8),
-    "E": (DivisorKind.HAT, 1, 24),
-    "Q": (DivisorKind.TILDE, 3, -16),
-    "R": (DivisorKind.TILDE, 5, 8),
+    "P": (DivisorKind.TILDE, 1),
+    "E": (DivisorKind.HAT, 1),
+    "Q": (DivisorKind.TILDE, 3),
+    "R": (DivisorKind.TILDE, 5),
 }
 
 
@@ -44,10 +47,10 @@ def hahn(which: str, order: int) -> S.Series:
     hahnQ = sum -16 sigma~_3(n) q^n, hahnR = sum 8 sigma~_5(n) q^n,
     each including its n = 0 boundary term (constant term 1)."""
     try:
-        kind, s, c = _HAHN_SPEC[which]
+        kind, s = _HAHN_SPEC[which]
     except KeyError:
         raise KeyError(f"hahn: which must be one of P, E, Q, R, not {which!r}") from None
-    return S.add(S.one(order), S.scale(c, S.lambert(kind, s, order)))
+    return _unit_lambert(kind, s, order)
 
 
 def family(fam: str, index: int, order: int) -> S.Series:

@@ -7,11 +7,13 @@ Three kinds of entry:
                 cross-multiplied (T_2 * 1 = P * T_0 form) so no division is
                 ever needed; the one genuine quotient identity (lemma_lx) is
                 pre-cross-multiplied too.
-  convolution:  both sides are exact values per n, the convolutions
-                evaluated by divisors.convolution_sequence (the brute-force
-                divisors.convolution is its test oracle); identities over odd
-                n skip even n entirely rather than asserting anything there,
-                and a bound n_max with no n in the domain is rejected.
+  convolution:  the same, with n_max as the order: each side is the Series
+                sum_n v(n) q^n of its values, one side pointwise from
+                divisor_sum and the other a product of Lambert series from
+                divisors.convolution_sequence (the brute-force
+                divisors.convolution is its test oracle). Coefficients
+                outside the stated domain are zeroed before the compare, and
+                a bound n_max with no n in the domain is rejected.
   numeric-ref:  delegates to numeric.check_special so a full verify run covers
                 the special-value checks as well.
 
@@ -20,7 +22,7 @@ Every report is deterministic: sorted by id, exact values in the failure slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -31,6 +33,12 @@ from .divisors import DivisorKind, convolution_sequence, divisor_sum, divisor_su
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
 
+# a domain's text -> (first n, step) of the n it compares
+_DOMAINS = {"all n >= 0": (0, 1), "n >= 1": (1, 1), "odd n >= 1": (1, 2)}
+
+# a convolution entry bundling several weights has one Series per weight
+Side = S.Series | tuple[S.Series, ...]
+
 
 @dataclass(frozen=True)
 class Identity:
@@ -39,13 +47,13 @@ class Identity:
     statement: str
     source: str
     domain: str = "all n >= 0"
-    # series kind: builders returning a Series of order >= the argument
-    lhs: Optional[Callable[[int], S.Series]] = None
-    rhs: Optional[Callable[[int], S.Series]] = None
-    # convolution kind: exact value sequences for n = 0..n_max
-    lhs_seq: Optional[Callable[[int], list]] = None
-    rhs_seq: Optional[Callable[[int], list]] = None
-    domain_pred: Callable[[int], bool] = lambda n: True
+    # builders returning sides of order >= the argument (order or n_max)
+    lhs: Optional[Callable[[int], Side]] = None
+    rhs: Optional[Callable[[int], Side]] = None
+
+    def __post_init__(self):
+        if self.kind != "numeric-ref" and self.domain not in _DOMAINS:
+            raise KeyError(f"identity {self.id}: unknown domain {self.domain!r}")
 
 
 @dataclass(frozen=True)
@@ -121,77 +129,43 @@ def _scaled_euler(build: Callable[[int], S.Series], c) -> Callable[[int], S.Seri
 
 
 # ---------------------------------------------------------------------------
-# convolution-side building blocks
+# convolution-side building blocks; each returns a Series of order n_max
 
 
-def _sigma_seq(kind: DivisorKind, s: int) -> Callable[[int], list]:
-    return lambda n_max: [divisor_sum(kind, s, n) for n in range(n_max + 1)]
+def _sigma(kind: DivisorKind, s: int, n_max: int, first: int = 0) -> S.Series:
+    """sum_{n >= first} sigma_s(n) q^n, pointwise from divisor_sum: the
+    independent check of the sieve behind the other side."""
+    return S.from_coeffs(
+        [0] * first + [divisor_sum(kind, s, n) for n in range(first, n_max + 1)]
+    )
 
 
-def _conv_seq(terms, multiplier) -> Callable[[int], list]:
-    mult = Fraction(multiplier)
-    return lambda n_max: [mult * v for v in convolution_sequence(terms, n_max)]
-
-
-def _combo_seq(a, b, ca, cb) -> Callable[[int], list]:
-    """ca*a(n) + cb*b(n) entrywise."""
-    ca, cb = Fraction(ca), Fraction(cb)
-    return lambda n_max: [
-        ca * x + cb * y for x, y in zip(a(n_max), b(n_max))
-    ]
-
-
-def _t12_rhs(n_max: int) -> list:
-    quad = convolution_sequence([(HAT, 1)] * 4, n_max)
-    pair = convolution_sequence([(HAT, 1), (TILDE, 5)], n_max)
-    return [12 * (864 * a - b) for a, b in zip(quad, pair)]
-
-
-def _cheng_williams_lhs(n_max: int) -> list:
+def _cheng_williams_lhs(n_max: int) -> S.Series:
     """sum_{m=1..n} sigma(4m-3) sigma(4(n-m)+3): the q^n coefficient of
     (sum_{m>=1} sigma(4m-3) q^m) (sum_{j>=0} sigma(4j+3) q^j)."""
     sigma = divisor_sum_table(PLAIN, 1, 4 * n_max + 3)
-    first = S.from_coeffs([0] + sigma[1::4])
-    second = S.from_coeffs(sigma[3::4])
-    return list(S.mul(first, second).coeffs)
+    return S.mul(S.Series((0, *sigma[1::4])), S.Series(tuple(sigma[3::4])))
 
 
-def _cheng_williams_rhs(n_max: int) -> list:
-    out = [Fraction(0)]
-    for n in range(1, n_max + 1):
-        out.append(
-            4 * divisor_sum(PLAIN, 3, n) - 4 * divisor_sum(PLAIN, 3, Fraction(n, 2))
-        )
-    return out
+def _cheng_williams_rhs(n_max: int) -> S.Series:
+    """4 sigma_3(n) - 4 sigma_3(n/2); the boundary terms cancel at n = 0."""
+    s3 = _sigma(PLAIN, 3, n_max)
+    return S.scale(4, S.sub(s3, S.substitute_power(s3, 2)))
 
 
-def _parity_reduction(kind: DivisorKind, two_power: bool):
-    """sigma~_s(n) = sigma_s(n) - 2^{s+1} sigma_s(n/2) (two_power=True) or
-    sigma^_s(n) = sigma_s(n) - 2 sigma_s(n/2), bundled over s in {1, 3, 5}."""
+def _parity_reduction(kind: DivisorKind, c: Callable[[int], int]):
+    """The flavored sigma_s(n) = sigma_s(n) - c(s) sigma_s(n/2), bundled over
+    s in {1, 3, 5}: the flavored side pointwise, the plain side sieved."""
     weights = (1, 3, 5)
 
-    zero_row = (Fraction(0),) * len(weights)  # n = 0 is outside the domain
+    def reduced(s: int, n_max: int) -> S.Series:
+        plain = S.lambert(PLAIN, s, n_max)
+        return S.sub(plain, S.scale(c(s), S.substitute_power(plain, 2)))
 
-    def lhs(n_max: int) -> list:
-        return [zero_row] + [
-            tuple(divisor_sum(kind, s, n) for s in weights)
-            for n in range(1, n_max + 1)
-        ]
-
-    def rhs(n_max: int) -> list:
-        out = [zero_row]
-        for n in range(1, n_max + 1):
-            row = []
-            for s in weights:
-                c = 2 ** (s + 1) if two_power else 2
-                row.append(
-                    divisor_sum(PLAIN, s, n)
-                    - c * divisor_sum(PLAIN, s, Fraction(n, 2))
-                )
-            out.append(tuple(row))
-        return out
-
-    return lhs, rhs
+    return (
+        lambda n_max: tuple(_sigma(kind, s, n_max, first=1) for s in weights),
+        lambda n_max: tuple(reduced(s, n_max) for s in weights),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,116 +417,95 @@ def _series_identities() -> list[Identity]:
 
 
 def _convolution_identities() -> list[Identity]:
-    odd = lambda n: n % 2 == 1
-    pos = lambda n: n >= 1
-    every = lambda n: True
-    ids = [
-        Identity(
-            "t9",
-            "convolution",
-            "sigma_7(n) = 120 sum_{i+j=n} sigma_3(i) sigma_3(j)",
-            "classical (Glaisher; via E_8 = Q^2)",
-            domain="all n >= 0",
-            lhs_seq=_sigma_seq(PLAIN, 7),
-            rhs_seq=_conv_seq([(PLAIN, 3), (PLAIN, 3)], 120),
-            domain_pred=every,
-        ),
-        Identity(
-            "t10",
-            "convolution",
-            "sigma~_5(n) = -48 sum_{i+j=n} sigma^(i) sigma~_3(j)",
-            "from R~ = E~ Q~",
-            domain="all n >= 0",
-            lhs_seq=_sigma_seq(TILDE, 5),
-            rhs_seq=_conv_seq([(HAT, 1), (TILDE, 3)], -48),
-            domain_pred=every,
-        ),
-        Identity(
-            "t11.a",
-            "convolution",
-            "5 sigma_3(n) - sigma~_3(n) = 48 sum_{i+j=n} sigma^(i) sigma^(j)",
-            "from Q = 4E~^2 - 3Q~",
-            domain="all n >= 0",
-            lhs_seq=_combo_seq(_sigma_seq(PLAIN, 3), _sigma_seq(TILDE, 3), 5, -1),
-            rhs_seq=_conv_seq([(HAT, 1)] * 2, 48),
-            domain_pred=every,
-        ),
-        Identity(
-            "t11.b",
-            "convolution",
-            "7 sigma_5(n) + sigma~_5(n) = 1536 sum_{i+j+k=n} sigma^ sigma^ sigma^",
-            "from R = -8E~^3 + 9R~",
-            domain="all n >= 0",
-            lhs_seq=_combo_seq(_sigma_seq(PLAIN, 5), _sigma_seq(TILDE, 5), 7, 1),
-            rhs_seq=_conv_seq([(HAT, 1)] * 3, 1536),
-            domain_pred=every,
-        ),
-        Identity(
-            "cor1.a",
-            "convolution",
-            "sigma_3(n) = 12 sum_{i+j=n} sigma^(i) sigma^(j), n odd",
-            "odd-n specialization (sigma~_3 = sigma_3 for odd n)",
-            domain="odd n >= 1",
-            lhs_seq=_sigma_seq(PLAIN, 3),
-            rhs_seq=_conv_seq([(HAT, 1)] * 2, 12),
-            domain_pred=odd,
-        ),
-        Identity(
-            "cor1.b",
-            "convolution",
-            "sigma_5(n) = 192 sum_{i+j+k=n} sigma^ sigma^ sigma^, n odd",
-            "odd-n specialization (sigma~_5 = sigma_5 for odd n)",
-            domain="odd n >= 1",
-            lhs_seq=_sigma_seq(PLAIN, 5),
-            rhs_seq=_conv_seq([(HAT, 1)] * 3, 192),
-            domain_pred=odd,
-        ),
-        Identity(
-            "t12",
-            "convolution",
-            "sigma_7(n) = 12 (864 sum_{i+j+k+l=n} sigma^^4 - sum_{i+j=n} sigma^ sigma~_5), n odd",
-            "derived: E_8(q) - 16 E_8(q^2) = 15E~^4 - 30E~R~",
-            domain="odd n >= 1",
-            lhs_seq=_sigma_seq(PLAIN, 7),
-            rhs_seq=_t12_rhs,
-            domain_pred=odd,
-        ),
-        Identity(
-            "cheng_williams",
-            "convolution",
-            "sum_{m=1..n} sigma(4m-3) sigma(4n-4m+3) = 4 sigma_3(n) - 4 sigma_3(n/2)",
-            "Cheng-Williams (2004)",
-            domain="n >= 1",
-            lhs_seq=_cheng_williams_lhs,
-            rhs_seq=_cheng_williams_rhs,
-            domain_pred=pos,
-        ),
-    ]
-    tl, tr_ = _parity_reduction(TILDE, True)
-    hl, hr = _parity_reduction(HAT, False)
-    ids.append(
-        Identity(
-            "remark.tilde",
-            "convolution",
-            "sigma~_s(n) = sigma_s(n) - 2^{s+1} sigma_s(n/2), s in {1,3,5}",
-            "parity reduction formula",
-            domain="n >= 1",
-            lhs_seq=tl,
-            rhs_seq=tr_,
-            domain_pred=pos,
+    ids: list[Identity] = []
+
+    def conv(id_, statement, source, lhs, rhs, domain="all n >= 0"):
+        ids.append(
+            Identity(id_, "convolution", statement, source, domain, lhs, rhs)
         )
+
+    def sigma(kind, s):
+        return lambda n: _sigma(kind, s, n)
+
+    def convolved(terms, c):
+        return lambda n: S.scale(c, convolution_sequence(terms, n))
+
+    hat = (HAT, 1)
+    conv(
+        "t9",
+        "sigma_7(n) = 120 sum_{i+j=n} sigma_3(i) sigma_3(j)",
+        "classical (Glaisher; via E_8 = Q^2)",
+        sigma(PLAIN, 7),
+        convolved([(PLAIN, 3)] * 2, 120),
     )
-    ids.append(
-        Identity(
-            "remark.hat",
-            "convolution",
-            "sigma^_s(n) = sigma_s(n) - 2 sigma_s(n/2), s in {1,3,5}",
-            "parity reduction formula",
-            domain="n >= 1",
-            lhs_seq=hl,
-            rhs_seq=hr,
-            domain_pred=pos,
-        )
+    conv(
+        "t10",
+        "sigma~_5(n) = -48 sum_{i+j=n} sigma^(i) sigma~_3(j)",
+        "from R~ = E~ Q~",
+        sigma(TILDE, 5),
+        convolved([hat, (TILDE, 3)], -48),
+    )
+    conv(
+        "t11.a",
+        "5 sigma_3(n) - sigma~_3(n) = 48 sum_{i+j=n} sigma^(i) sigma^(j)",
+        "from Q = 4E~^2 - 3Q~",
+        lambda n: S.sub(S.scale(5, _sigma(PLAIN, 3, n)), _sigma(TILDE, 3, n)),
+        convolved([hat] * 2, 48),
+    )
+    conv(
+        "t11.b",
+        "7 sigma_5(n) + sigma~_5(n) = 1536 sum_{i+j+k=n} sigma^ sigma^ sigma^",
+        "from R = -8E~^3 + 9R~",
+        lambda n: S.add(S.scale(7, _sigma(PLAIN, 5, n)), _sigma(TILDE, 5, n)),
+        convolved([hat] * 3, 1536),
+    )
+    conv(
+        "cor1.a",
+        "sigma_3(n) = 12 sum_{i+j=n} sigma^(i) sigma^(j), n odd",
+        "odd-n specialization (sigma~_3 = sigma_3 for odd n)",
+        sigma(PLAIN, 3),
+        convolved([hat] * 2, 12),
+        "odd n >= 1",
+    )
+    conv(
+        "cor1.b",
+        "sigma_5(n) = 192 sum_{i+j+k=n} sigma^ sigma^ sigma^, n odd",
+        "odd-n specialization (sigma~_5 = sigma_5 for odd n)",
+        sigma(PLAIN, 5),
+        convolved([hat] * 3, 192),
+        "odd n >= 1",
+    )
+    conv(
+        "t12",
+        "sigma_7(n) = 12 (864 sum_{i+j+k+l=n} sigma^^4 - sum_{i+j=n} sigma^ sigma~_5), n odd",
+        "derived: E_8(q) - 16 E_8(q^2) = 15E~^4 - 30E~R~",
+        sigma(PLAIN, 7),
+        lambda n: S.sub(
+            convolved([hat] * 4, 12 * 864)(n), convolved([hat, (TILDE, 5)], 12)(n)
+        ),
+        "odd n >= 1",
+    )
+    conv(
+        "cheng_williams",
+        "sum_{m=1..n} sigma(4m-3) sigma(4n-4m+3) = 4 sigma_3(n) - 4 sigma_3(n/2)",
+        "Cheng-Williams (2004)",
+        _cheng_williams_lhs,
+        _cheng_williams_rhs,
+        "n >= 1",
+    )
+    conv(
+        "remark.tilde",
+        "sigma~_s(n) = sigma_s(n) - 2^{s+1} sigma_s(n/2), s in {1,3,5}",
+        "parity reduction formula",
+        *_parity_reduction(TILDE, lambda s: 2 ** (s + 1)),
+        "n >= 1",
+    )
+    conv(
+        "remark.hat",
+        "sigma^_s(n) = sigma_s(n) - 2 sigma_s(n/2), s in {1,3,5}",
+        "parity reduction formula",
+        *_parity_reduction(HAT, lambda s: 2),
+        "n >= 1",
     )
     return ids
 
@@ -599,50 +552,66 @@ def lookup(id_: str) -> Optional[Identity]:
     return _REGISTRY.get(id_)
 
 
+def _compare(ident: Identity, order: int) -> VerifyReport:
+    """Build both sides to order and compare them exactly on the domain.
+
+    A side built below the requested order fails, with checked_up_to the
+    order every side reached. Coefficients outside the domain are zeroed, so
+    nothing is asserted there.
+    """
+    first, step = _DOMAINS[ident.domain]
+    sides = {"lhs": ident.lhs(order), "rhs": ident.rhs(order)}
+    parts = {k: v if isinstance(v, tuple) else (v,) for k, v in sides.items()}
+    built = min(order, *(s.order for p in parts.values() for s in p))
+    short = [k for k, p in parts.items() if min(s.order for s in p) < order]
+    note = None
+    if short:
+        note = f"{' and '.join(short)} built below the requested order {order}"
+
+    def on_domain(s: S.Series) -> S.Series:
+        s = S.truncate(s, built)
+        if (first, step) == (0, 1):
+            return s
+        nums = [0] * (built + 1)
+        nums[first::step] = s.nums[first::step]
+        return S.Series(tuple(nums), s.den)
+
+    masked = {k: tuple(map(on_domain, p)) for k, p in parts.items()}
+    failure = None
+    if masked["lhs"] != masked["rhs"]:
+
+        def at(k: str, n: int):
+            values = tuple(s[n] for s in masked[k])
+            return values if isinstance(sides[k], tuple) else values[0]
+
+        n = next(n for n in range(built + 1) if at("lhs", n) != at("rhs", n))
+        failure = {"n": n, "lhs": _fmt(at("lhs", n)), "rhs": _fmt(at("rhs", n))}
+    status = "fail" if failure or note else "pass"
+    return VerifyReport(ident.id, status, built, failure, note)
+
+
 def verify_series(ident: Identity | str, order: int) -> VerifyReport:
     """Build both sides to the requested order and compare exactly.
 
     A side built below the requested order fails, with checked_up_to the
     order both sides reached.
     """
-    ident = _resolve(ident, "series")
-    lhs, rhs = ident.lhs(order), ident.rhs(order)
-    built = min(order, lhs.order, rhs.order)
-    short = [side for side, s in (("lhs", lhs), ("rhs", rhs)) if s.order < order]
-    note = None
-    if short:
-        note = f"{' and '.join(short)} built below the requested order {order}"
-    lhs, rhs = S.truncate(lhs, built), S.truncate(rhs, built)
-    failure = None
-    if lhs != rhs:
-        n = next(n for n in range(built + 1) if lhs[n] != rhs[n])
-        failure = {"n": n, "lhs": _fmt(lhs[n]), "rhs": _fmt(rhs[n])}
-    status = "fail" if failure or note else "pass"
-    return VerifyReport(ident.id, status, built, failure, note)
+    return _compare(_resolve(ident, "series"), order)
 
 
 def verify_convolution(ident: Identity | str, n_max: int) -> VerifyReport:
-    """Evaluate both exact sides for every n in the identity's domain.
+    """Compare both sides at every n = 0..n_max in the identity's domain.
 
     Raises ValueError when no n in 0..n_max lies in the domain, since a pass
     would then have compared nothing.
     """
     ident = _resolve(ident, "convolution")
-    if not any(map(ident.domain_pred, range(n_max + 1))):
+    if _DOMAINS[ident.domain][0] > n_max:
         raise ValueError(
             f"identity {ident.id}: no n in 0..{n_max} lies in its domain"
             f" ({ident.domain})"
         )
-    lhs = ident.lhs_seq(n_max)
-    rhs = ident.rhs_seq(n_max)
-    for n in range(n_max + 1):
-        if not ident.domain_pred(n):
-            continue
-        if lhs[n] != rhs[n]:
-            return VerifyReport(
-                ident.id, "fail", n_max, {"n": n, "lhs": _fmt(lhs[n]), "rhs": _fmt(rhs[n])}
-            )
-    return VerifyReport(ident.id, "pass", n_max)
+    return _compare(ident, n_max)
 
 
 def verify_numeric(ident: Identity | str, precision: int) -> VerifyReport:

@@ -232,6 +232,9 @@ def test_convolve_rejects_unused_options(capsys, flag):
 GOLDEN = {
     "verify --all --order 60 --nmax 60 --format json":
         "99f3aa8e459a9a081e54f3f85d43dac40c574bb5698a5b33df5d46a922a83420",
+    # recorded before the convolution sides became Series
+    "convolve --all --nmax 200 --format json":
+        "eac0e8e974120ef5df102f89d670a6212c9ff9edcb7d968de67729bfeb88bdb8",
     "list --format json":
         "d16c4399bef81a3cfed2d746d555ea547f2171e0f23013c4ec05ccb04a1d2f7e",
     "expand --series P --order 300 --format json":

@@ -15,7 +15,6 @@ from qram.divisors import (
     convolution_sequence,
     divisor_sum,
     divisor_sum_table,
-    extrapolated_boundary,
 )
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
@@ -89,13 +88,13 @@ def test_boundary_table():
 
 
 def test_extrapolated_boundary_is_minus_half_bernoulli_ratio():
-    # -B_{s+1} / (2(s+1)) reproduces the plain boundaries
-    assert extrapolated_boundary(3) == Fraction(1, 240) == boundary_value(PLAIN, 3)
-    assert extrapolated_boundary(5) == Fraction(-1, 504)
-    assert extrapolated_boundary(7) == Fraction(1, 480)
-    assert extrapolated_boundary(1) == Fraction(-1, 24)
-    assert extrapolated_boundary(9) == Fraction(-1, 264)
-    assert extrapolated_boundary(13) == Fraction(-1, 24)
+    # the plain boundaries are -B_{s+1} / (2(s+1)) for every odd s
+    assert boundary_value(PLAIN, 3) == Fraction(1, 240)
+    assert boundary_value(PLAIN, 5) == Fraction(-1, 504)
+    assert boundary_value(PLAIN, 7) == Fraction(1, 480)
+    assert boundary_value(PLAIN, 1) == Fraction(-1, 24)
+    assert boundary_value(PLAIN, 9) == Fraction(-1, 264)
+    assert boundary_value(PLAIN, 13) == Fraction(-1, 24)
 
 
 def test_bernoulli_values():
@@ -119,8 +118,12 @@ def test_divisor_sum_at_zero_uses_boundary():
     assert divisor_sum(PLAIN, 3, 0) == Fraction(1, 240)
     assert divisor_sum(TILDE, 5, 0) == Fraction(1, 8)
     assert divisor_sum(HAT, 1, 0) == Fraction(1, 24)
-    with pytest.raises(LookupError):
-        divisor_sum(PLAIN, 1, 0)
+    # the value P's scalar -24 fixes
+    assert divisor_sum(PLAIN, 1, 0) == Fraction(-1, 24)
+    # pairs with no generator have no boundary value
+    for kind, s in ((PLAIN, 2), (HAT, 3), (TILDE, 7)):
+        with pytest.raises(LookupError):
+            divisor_sum(kind, s, 0)
 
 
 # only flavors with a boundary value can sit in a sum that reaches index 0

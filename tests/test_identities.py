@@ -1,12 +1,13 @@
 """Identity registry and the three verification drivers."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qram import series as S
 from qram.divisors import DivisorKind, divisor_sum
-from qram.generators import eisenstein
+from qram.generators import eisenstein, hahn
 from qram.numeric import SPECIALS
 from qram.identities import (
     Identity,
@@ -90,9 +91,10 @@ def test_convolution_driver_respects_domain():
     rep = verify_convolution("cor1.a", 25)
     assert rep.status == "pass"
     ident = lookup("cor1.a")
-    assert ident.domain_pred(3) and not ident.domain_pred(4)
+    assert ident.domain == "odd n >= 1"
     # odd-n identities are false off their domain; driver must not probe there
-    lhs, rhs = ident.lhs_seq(8), ident.rhs_seq(8)
+    lhs, rhs = ident.lhs(8), ident.rhs(8)
+    assert lhs[3] == rhs[3]
     assert lhs[4] != rhs[4]
 
 
@@ -177,14 +179,92 @@ def test_convolution_corruption_located():
         statement=base.statement,
         source=base.source,
         domain=base.domain,
-        lhs_seq=base.lhs_seq,
-        rhs_seq=lambda n_max: [
-            v + (1 if n == 9 else 0) for n, v in enumerate(base.rhs_seq(n_max))
-        ],
-        domain_pred=base.domain_pred,
+        lhs=base.lhs,
+        rhs=lambda n_max: S.add(base.rhs(n_max), S.monomial(1, 9, n_max)),
     )
     rep = verify_convolution(wrong, 20)
     assert rep.status == "fail" and rep.first_failure["n"] == 9
+
+
+def _bumped(build, n, delta, component=None):
+    """build with delta added at q^n, to one component of a bundled side."""
+
+    def bad(n_max):
+        side = build(n_max)
+        if component is None:
+            return S.add(side, S.monomial(delta, n, n_max))
+        parts = list(side)
+        parts[component] = S.add(parts[component], S.monomial(delta, n, n_max))
+        return tuple(parts)
+
+    return bad
+
+
+# first_failure of a corrupted convolution entry, rendered as before the
+# convolution sides became Series
+@pytest.mark.parametrize(
+    "id_, side, n, delta, component, failure",
+    [
+        ("remark.tilde", "rhs", 6, Fraction(1, 3), 1,
+         {"n": 6, "lhs": "(-4, -196, -7564)", "rhs": "(-4, -587/3, -7564)"}),
+        ("remark.hat", "lhs", 5, 2, 0,
+         {"n": 5, "lhs": "(8, 126, 3126)", "rhs": "(6, 126, 3126)"}),
+        ("t9", "rhs", 9, 1, None, {"n": 9, "lhs": "4785157", "rhs": "4785158"}),
+        ("cor1.a", "rhs", 7, Fraction(1, 5), None,
+         {"n": 7, "lhs": "344", "rhs": "1721/5"}),
+        ("t11.b", "rhs", 0, 1, None, {"n": 0, "lhs": "1/9", "rhs": "10/9"}),
+        ("t12", "rhs", 11, Fraction(-3, 7), None,
+         {"n": 11, "lhs": "19487172", "rhs": "136410201/7"}),
+        ("cheng_williams", "lhs", 4, 1, None, {"n": 4, "lhs": "257", "rhs": "256"}),
+    ],
+)
+def test_convolution_failure_rendering(id_, side, n, delta, component, failure):
+    base = lookup(id_)
+    bad = replace(base, **{side: _bumped(getattr(base, side), n, delta, component)})
+    rep = verify_convolution(bad, 30)
+    assert (rep.status, rep.checked_up_to, rep.note) == ("fail", 30, None)
+    assert rep.first_failure == failure
+
+
+def test_unknown_domain_is_rejected_at_construction():
+    base = lookup("t9")
+    with pytest.raises(KeyError, match="unknown domain 'even n >= 0'"):
+        replace(base, domain="even n >= 0")
+
+
+def _doubling(c, sign, letter, k):
+    """c (sign * side + k * hahn(letter)), the scalar map from a lemma1 side."""
+    return lambda side, n: S.scale(
+        c, S.add(S.scale(sign, side), S.scale(k, hahn(letter, n)))
+    )
+
+
+# each convolution entry derived from a series entry: its parent, and the
+# linear map that takes the parent's sides to the entry's sides
+DERIVED = {
+    "t9": ("e8.square", lambda side, n: S.scale(Fraction(1, 480), side)),
+    "t10": ("hahn.R_eq_EQ", lambda side, n: S.scale(Fraction(1, 8), side)),
+    "t11.a": ("lemma1.Q", _doubling(Fraction(1, 48), 1, "Q", 3)),
+    "cor1.a": ("lemma1.Q", _doubling(Fraction(1, 48 * 4), 1, "Q", 3)),
+    "t11.b": ("lemma1.R", _doubling(Fraction(1, 72), -1, "R", 9)),
+    "cor1.b": ("lemma1.R", _doubling(Fraction(1, 72 * 8), -1, "R", 9)),
+    "t12": ("t12.core", lambda side, n: S.scale(Fraction(1, 480), side)),
+}
+
+
+@pytest.mark.parametrize("id_", sorted(DERIVED))
+def test_derived_convolution_entry_is_parent_coefficients(id_):
+    order = 60
+    parent_id, to_entry = DERIVED[id_]
+    entry, parent = lookup(id_), lookup(parent_id)
+    assert (entry.kind, parent.kind) == ("convolution", "series")
+    ns = {"all n >= 0": range(order + 1), "odd n >= 1": range(1, order + 1, 2)}[
+        entry.domain
+    ]
+    for side in ("lhs", "rhs"):
+        got = getattr(entry, side)(order)
+        want = to_entry(getattr(parent, side)(order), order)
+        assert [got[n] for n in ns] == [want[n] for n in ns], (id_, side)
 
 
 def test_unknown_and_mismatched_lookups():
