@@ -7,6 +7,7 @@ import pytest
 
 from qram import identities as I
 from qram.cli import main
+from qram.numeric import SPECIALS
 
 
 def run(capsys, *argv):
@@ -272,3 +273,21 @@ def test_derive_golden_output(capsys):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == DERIVE_GOLDEN
+
+
+# sha256 of the concatenated stdout of eval --value ID --precision P --format json
+# for P in 64, 256, 1024 and each special-value id in sorted order; recorded
+# while the Lambert sums were still summed term by term in mpf
+EVAL_GOLDEN = "b03808e9a068f5d0050f4a9a271b5d3e623e370ed4c20b5e1652fb2de0125a15"
+
+
+def test_eval_golden_output(capsys):
+    digest = hashlib.sha256()
+    for bits in ("64", "256", "1024"):
+        for id_ in sorted(SPECIALS):
+            code, out, _ = run(
+                capsys, "eval", "--value", id_, "--precision", bits, "--format", "json"
+            )
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == EVAL_GOLDEN
