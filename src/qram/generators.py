@@ -6,15 +6,21 @@ hahnR), the four weighted families on pentagonal and triangular exponents
 (T_2n, F_n, psi_n, eps_n), Ramanujan theta functions f(a, b) at signed monomial
 arguments, and the double Lambert sums Phi_{r,s} / Phi~_{r,s}.
 
+Two shapes cover them. The families and f(a, b) are theta sums on quadratic
+exponents, all placed by one kernel, _theta_sum. The rest are Lambert series
+from series.lambert; Phi_{r,s} is one of them raised by the q d/dq
+recurrence.
+
 All builders take an explicit truncation order and return exact Series.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import count
 
 from . import series as S
-from .divisors import DivisorKind, boundary_value, divisor_sum_table
+from .divisors import DivisorKind, boundary_value
 
 
 def _unit_lambert(kind: DivisorKind, s: int, order: int) -> S.Series:
@@ -53,56 +59,64 @@ def hahn(which: str, order: int) -> S.Series:
     return _unit_lambert(kind, s, order)
 
 
-def family(fam: str, index: int, order: int) -> S.Series:
-    """The four weighted exponent-power families.
+def _theta_sum(expo, coeff, order: int, bilateral: bool) -> S.Series:
+    """sum coeff(k) q^expo(k) over k >= 0, or over all k in Z when bilateral.
 
-    T:   1 + sum_{k>=1} (-1)^k ((6k-1)^i q^{k(3k-1)/2} + (6k+1)^i q^{k(3k+1)/2}),
-         i = index, even (T_0 is the pentagonal product (q;q)_inf)
-    F:   sum_{k>=0} (-1)^k (2k+1)^{index+1} q^{k(k+1)/2}
-    psi: sum_{k>=0} (2k+1)^{index} q^{k(k+1)/2}
-    eps: sum_{k in Z} (6k+1)^{index} q^{k(3k+1)/2}
+    expo(0) = 0 and expo is strictly increasing in |k| on each side, so the
+    sum stops once neither k = m nor k = -m lands inside the window.
+    Coefficients at colliding exponents add.
+    """
+    out = [0] * (order + 1)
+    for m in count():
+        alive = False
+        for k in (m, -m) if bilateral and m else (m,):
+            e = expo(k)
+            if e <= order:
+                out[e] += coeff(k)
+                alive = True
+        if not alive:
+            return S.Series(tuple(out))
+
+
+def _sign(k: int) -> int:
+    return -1 if k % 2 else 1
+
+
+def _pentagonal(k: int) -> int:
+    return k * (3 * k + 1) // 2
+
+
+def _triangular(k: int) -> int:
+    return k * (k + 1) // 2
+
+
+# family -> (exponent, coefficient of q^exponent(k) at index i, bilateral)
+_FAMILIES = {
+    "T": (_pentagonal, lambda k, i: _sign(k) * (6 * k + 1) ** i, True),
+    "eps": (_pentagonal, lambda k, i: (6 * k + 1) ** i, True),
+    "F": (_triangular, lambda k, i: _sign(k) * (2 * k + 1) ** (i + 1), False),
+    "psi": (_triangular, lambda k, i: (2 * k + 1) ** i, False),
+}
+
+
+def family(fam: str, index: int, order: int) -> S.Series:
+    """The four weighted exponent-power families, for i = index.
+
+    T:   sum_{k in Z} (-1)^k (6k+1)^i q^{k(3k+1)/2}, i even
+         (T_0 is the pentagonal product (q;q)_inf)
+    eps: sum_{k in Z} (6k+1)^i q^{k(3k+1)/2}
+    F:   sum_{k>=0} (-1)^k (2k+1)^{i+1} q^{k(k+1)/2}
+    psi: sum_{k>=0} (2k+1)^i q^{k(k+1)/2}
     """
     if index < 0:
         raise ValueError("family: index must be >= 0")
-    out = [0] * (order + 1)
-    if fam == "T":
-        if index % 2:
-            raise ValueError("family: T takes an even index")
-        out[0] = 1
-        k = 1
-        while k * (3 * k - 1) // 2 <= order:
-            sign = -1 if k % 2 else 1
-            e1 = k * (3 * k - 1) // 2
-            out[e1] += sign * (6 * k - 1) ** index
-            e2 = k * (3 * k + 1) // 2
-            if e2 <= order:
-                out[e2] += sign * (6 * k + 1) ** index
-            k += 1
-    elif fam in ("F", "psi"):
-        k = 0
-        while k * (k + 1) // 2 <= order:
-            e = k * (k + 1) // 2
-            if fam == "F":
-                out[e] += (-1 if k % 2 else 1) * (2 * k + 1) ** (index + 1)
-            else:
-                out[e] += (2 * k + 1) ** index
-            k += 1
-    elif fam == "eps":
-        out[0] += 1  # k = 0 term
-        m = 1
-        while True:
-            # exponents grow monotonically in both directions
-            ep, em = m * (3 * m + 1) // 2, m * (3 * m - 1) // 2
-            if em > order and ep > order:
-                break
-            if ep <= order:
-                out[ep] += (6 * m + 1) ** index
-            if em <= order:
-                out[em] += (-6 * m + 1) ** index
-            m += 1
-    else:
-        raise KeyError(f"family: unknown family {fam!r}")
-    return S.Series(tuple(out))
+    try:
+        expo, coeff, bilateral = _FAMILIES[fam]
+    except KeyError:
+        raise KeyError(f"family: unknown family {fam!r}") from None
+    if fam == "T" and index % 2:
+        raise ValueError("family: T takes an even index")
+    return _theta_sum(expo, lambda k: coeff(k, index), order, bilateral)
 
 
 def theta_f(sa: int, u: int, sb: int, v: int, order: int) -> S.Series:
@@ -116,27 +130,12 @@ def theta_f(sa: int, u: int, sb: int, v: int, order: int) -> S.Series:
         raise ValueError("theta_f: signs must be +1 or -1")
     if u < 1 or v < 1:
         raise ValueError("theta_f: u and v must be positive integers")
-    out = [0] * (order + 1)
-
-    def put(k: int) -> bool:
-        ta, tb = k * (k + 1) // 2, k * (k - 1) // 2
-        e = u * ta + v * tb
-        if e > order:
-            return False
-        out[e] += (sa**ta) * (sb**tb)
-        return True
-
-    put(0)
-    m = 1
-    while True:
-        # exponent is strictly increasing in |k| on each side, so stop when
-        # both directions have left the window
-        alive = put(m)
-        alive = put(-m) or alive
-        if not alive:
-            break
-        m += 1
-    return S.Series(tuple(out))
+    return _theta_sum(
+        lambda k: u * _triangular(k) + v * _triangular(k - 1),
+        lambda k: sa ** _triangular(k) * sb ** _triangular(k - 1),
+        order,
+        True,
+    )
 
 
 def phi_series(variant: str, r: int, s: int, order: int) -> S.Series:
@@ -147,23 +146,23 @@ def phi_series(variant: str, r: int, s: int, order: int) -> S.Series:
     the s-th power; then q d/dq Phi~_{r,s} = Phi~_{r+1,s+1} and Phi~_{0,s} is
     the sigma~_s Lambert series.
 
-    Generated from divisor-sum tables (coefficient of q^n is n^r sigma_{s-r}(n)
-    in the right flavor); the literal double sum is the test oracle.
+    Built by that recurrence, which holds for both variants: min(r, s)
+    applications of q d/dq to the Lambert series of sigma_{|s-r|} in the
+    right flavor (for tilde with s < r the sign lands on the codivisor, the
+    HAT flavor). The literal double sum is the test oracle.
     """
     if variant not in ("plain", "tilde"):
         raise ValueError("phi_series: variant must be plain or tilde")
     if r < 0 or s < 0:
         raise ValueError("phi_series: r and s must be nonnegative")
-    if s >= r:
-        kind = DivisorKind.PLAIN if variant == "plain" else DivisorKind.TILDE
-        table = divisor_sum_table(kind, s - r, order)
-        coeffs = [0] + [n**r * table[n] for n in range(1, order + 1)]
+    if variant == "plain":
+        kind = DivisorKind.PLAIN
     else:
-        # swap roles of the two indices: the sign lands on the codivisor
-        kind = DivisorKind.PLAIN if variant == "plain" else DivisorKind.HAT
-        table = divisor_sum_table(kind, r - s, order)
-        coeffs = [0] + [n**s * table[n] for n in range(1, order + 1)]
-    return S.Series(tuple(coeffs))
+        kind = DivisorKind.TILDE if s >= r else DivisorKind.HAT
+    out = S.lambert(kind, abs(s - r), order)
+    for _ in range(min(r, s)):
+        out = S.euler_op(out)
+    return out
 
 
 # named theta specializations

@@ -9,7 +9,7 @@ Each special value pairs two fully independent computations:
                  obtained from the arithmetic-geometric mean, not from a
                  library gamma function.
 
-Every defining sum is a weighted Lambert sum or a bilateral theta sum, each
+Every defining sum is a weighted Lambert sum or a theta sum f(x^u, x^v), each
 with a proved tail bound (_lambert, _theta). check_special makes one pass:
 from log2|x|, computed once at low precision, it picks the first index N at
 which |c1| times the tail bound is below 2^-(precision+16), works 64 bits
@@ -155,14 +155,18 @@ def _lambert_sum(kind: DivisorKind, r: int, s: int, x, n: int):
     return mp.mpf((total, -w))
 
 
-def _theta(expo: Callable[[int], int], point) -> Route:
-    """sum_{k in Z} x^expo(k) for a quadratic expo with expo(0) = 0.
+def _theta(u: int, v: int, point) -> Route:
+    """Ramanujan's f(x^u, x^v) = sum_{k in Z} x^e(k), u, v >= 1, for the
+    exponent e(k) = u k(k+1)/2 + v k(k-1)/2; the k = 0 term is c0 = 1.
 
-    expo(k) and expo(-k) must each be strictly increasing integers for k >= 1.
-    The terms x^e come in increasing order of e, both sides merged, so the
+    e(k) and e(-k) are each strictly increasing integers for k >= 1. The
+    terms for k != 0 come in increasing order of e, both sides merged, so the
     exponents left from the k-th term e_k on are, on each side, distinct
     integers >= e_k: the tail bound is 2 |x|^e_k / (1 - |x|).
     """
+
+    def expo(k):
+        return u * k * (k + 1) // 2 + v * k * (k - 1) // 2
 
     merged = merge((expo(k) for k in count(1)), (expo(-k) for k in count(1)))
     known: list[int] = []  # merged's exponents so far: e_k is known[k - 1]
@@ -296,9 +300,7 @@ def _specials() -> dict[str, SpecialValue]:
             note=note,
         )
 
-    # psi values: psi(x) = sum_{k>=0} x^{k(k+1)/2} = sum_{k in Z} x^{k(2k+1)}
-    psi_expo = lambda k: k * (2 * k + 1)
-
+    # psi values: psi(x) = sum_{k>=0} x^{k(k+1)/2} = f(x, x^3)
     def psi3pi_closed():
         rt2, rt3, q14, _, pref = _radical_parts()
         return _p(2, -1, 8) * _p(3, -3, 8) * mp.exp(3 * mp.pi / 8) * _p(
@@ -323,27 +325,25 @@ def _specials() -> dict[str, SpecialValue]:
         "l2.psi3pi",
         "psi(e^{-3pi}) = 2^{-1/8} 3^{-3/8} e^{3pi/8} (1 + sqrt2 3^{1/4} + sqrt3)^{-1/2} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(psi_expo, lambda: mp.exp(-3 * mp.pi)),
+        _theta(1, 3, lambda: mp.exp(-3 * mp.pi)),
         psi3pi_closed,
     )
     add(
         "l2.psi3pi_neg",
         "psi(-e^{-3pi}) = 2^{-3/4} 3^{-1/2} e^{3pi/8} (2 sqrt3 - 3)^{1/4} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(psi_expo, lambda: -mp.exp(-3 * mp.pi)),
+        _theta(1, 3, lambda: -mp.exp(-3 * mp.pi)),
         psi3pi_neg_closed,
     )
     add(
         "l3.psi6pi",
         "psi(e^{-6pi}) = e^{3pi/4} 3^{-3/8} (sqrt3+1)^{-5/6} (1+sqrt3+sqrt2 3^{3/4})^{-2/3} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(psi_expo, lambda: mp.exp(-6 * mp.pi)),
+        _theta(1, 3, lambda: mp.exp(-6 * mp.pi)),
         psi6pi_closed,
     )
 
-    # eps = f(q, q^2) values, exponents k(3k+1)/2
-    eps_expo = lambda k: k * (3 * k + 1) // 2
-
+    # eps values: eps(x) = sum_{k in Z} x^{k(3k+1)/2} = f(x, x^2)
     def eps_plus_closed():
         rt2, rt3, q14, q34, pref = _radical_parts()
         return (
@@ -379,25 +379,25 @@ def _specials() -> dict[str, SpecialValue]:
         "t6.eps_plus",
         "eps(e^{-pi}) = 2^{-9/8} 3^{-3/8} e^{pi/24} (1+sqrt3+sqrt2 3^{3/4}) (1+sqrt3+sqrt2 3^{1/4})^{-1/2} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(eps_expo, lambda: mp.exp(-mp.pi)),
+        _theta(1, 2, lambda: mp.exp(-mp.pi)),
         eps_plus_closed,
     )
     add(
         "t6.eps_minus",
         "eps(-e^{-pi}) = 2^{-3/4} 3^{-1/2} e^{pi/24} (1+sqrt3) (2 sqrt3 - 3)^{1/4} pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(eps_expo, lambda: -mp.exp(-mp.pi)),
+        _theta(1, 2, lambda: -mp.exp(-mp.pi)),
         eps_minus_closed,
     )
     add(
         "t7.eps_2pi",
         "eps(e^{-2pi}) = e^{pi/12} (2+sqrt3+(sqrt2+sqrt6)/2 3^{3/4}) / (3^{3/8} (sqrt3+1)^{5/6} (1+sqrt3+sqrt2 3^{3/4})^{2/3}) pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(eps_expo, lambda: mp.exp(-2 * mp.pi)),
+        _theta(1, 2, lambda: mp.exp(-2 * mp.pi)),
         eps_2pi_closed,
     )
 
-    # f(e^{-pi}, e^{-5pi}): exponents 3k^2 - 2k in the base e^{-pi}
+    # f(e^{-pi}, e^{-5pi}) = f(x, x^5) at x = e^{-pi}
     def f15_closed():
         rt2, rt3, q14, q34, pref = _radical_parts()
         return (
@@ -414,7 +414,7 @@ def _specials() -> dict[str, SpecialValue]:
         "t8.f15",
         "f(e^{-pi}, e^{-5pi}) = 2^{-5/4} 3^{-3/8} e^{pi/3} (sqrt3+1)^{5/6} (1+sqrt3+sqrt2 3^{3/4})^{5/3} / ((1+sqrt3+sqrt2 3^{1/4})(2+sqrt3+(sqrt2+sqrt6)/2 3^{3/4})) pi^{1/4}/Gamma(3/4)",
         "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(lambda k: 3 * k * k - 2 * k, lambda: mp.exp(-mp.pi)),
+        _theta(1, 5, lambda: mp.exp(-mp.pi)),
         f15_closed,
     )
 

@@ -51,19 +51,6 @@ class Series:
     def __getitem__(self, n: int) -> Fraction:
         return Fraction(self.nums[n], self.den)
 
-    # arithmetic sugar; the named module functions below are the real interface
-    def __add__(self, other: "Series") -> "Series":
-        return add(self, other)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return sub(self, other)
-
-    def __neg__(self) -> "Series":
-        return neg(self)
-
-    def __mul__(self, other: "Series") -> "Series":
-        return mul(self, other)
-
     def to_json(self) -> dict:
         return {
             "order": self.order,

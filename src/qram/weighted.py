@@ -30,6 +30,7 @@ from typing import Mapping
 
 from . import generators as G
 from . import series as S
+from .divisors import DivisorKind, boundary_value
 
 Exps = tuple[int, int, int, int]
 
@@ -289,35 +290,27 @@ def ratio_poly(fam: str, n: int) -> WeightedPoly:
     return canonicalize(r)
 
 
-# degree-one base cases for the double Lambert sums: the generator series
-# rearranged, e.g. Phi_{0,3} = (Q - 1)/240 because Q = 1 + 240 sum sigma_3 q^n
-_PHI_BASES = {
-    ("plain", 1): ("P", Fraction(-1, 24), Fraction(1, 24)),
-    ("plain", 3): ("Q", Fraction(1, 240), Fraction(-1, 240)),
-    ("plain", 5): ("R", Fraction(-1, 504), Fraction(1, 504)),
-    ("tilde", 1): ("P", Fraction(1, 8), Fraction(-1, 8)),
-    ("tilde", 3): ("Q", Fraction(-1, 16), Fraction(1, 16)),
-    ("tilde", 5): ("R", Fraction(1, 8), Fraction(-1, 8)),
-}
-
-
 def phi_poly(variant: str, r: int, s: int) -> WeightedPoly:
     """Polynomial expression for Phi_{r,s} (plain ring) or Phi~_{r,s} (hahn).
 
     Supported when s >= r >= 0 and s - r in {1, 3, 5} (so a degree-one base
     case exists; r + s is then odd and the weight is the even number r+s+1).
-    Computed as r applications of the weight-raising operator q d/dq, realized
-    as (1/scale)*derive, to the base case.
+    The base case is the generator X = P, Q, R of weight s - r + 1
+    rearranged: X = (b + sum sigma_{s-r}(n) q^n)/b gives Phi_{0,s-r} =
+    b X - b, with b = boundary_value of sigma_{s-r}, PLAIN for the
+    classical ring and TILDE for the hahn ring. Computed as r applications
+    of the weight-raising operator q d/dq, realized as (1/scale)*derive, to
+    the base case.
     """
-    key = (variant, s - r)
-    if variant not in ("plain", "tilde") or r < 0 or key not in _PHI_BASES:
+    if variant not in ("plain", "tilde") or r < 0 or s - r not in (1, 3, 5):
         raise ValueError(
             f"phi_poly: unsupported (variant, r, s) = ({variant}, {r}, {s}); "
             "need s >= r >= 0 with s - r in {1, 3, 5}"
         )
     ring = "classical" if variant == "plain" else "hahn"
-    name, coeff, const = _PHI_BASES[key]
-    p = gen(ring, name).scale(coeff) + constant(ring, const)
+    kind = DivisorKind.PLAIN if variant == "plain" else DivisorKind.TILDE
+    b = boundary_value(kind, s - r)
+    p = gen(ring, "PQR"[(s - r) // 2]).scale(b) + constant(ring, -b)
     rules = _BASE_RULES[ring]
     for _ in range(r):
         p = derive(rules, p).scale(Fraction(1) / rules.scale)

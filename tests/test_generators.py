@@ -176,3 +176,54 @@ def test_series_by_name_rejects_unknown():
 def test_fneg_is_eta_like_product():
     # f(-q) = (q; q)_inf
     assert fneg(30) == S.product_expansion([(1, 1, 1)], 30)
+
+
+# the four families, straight from family's docstring: (exponent, coefficient
+# at index i, whether k runs over Z or k >= 0)
+def _lit_sign(k):
+    return -1 if k % 2 else 1
+
+
+_LITERAL_FAMILIES = {
+    "T": (lambda k: k * (3 * k + 1) // 2, lambda k, i: _lit_sign(k) * (6 * k + 1) ** i, True),
+    "eps": (lambda k: k * (3 * k + 1) // 2, lambda k, i: (6 * k + 1) ** i, True),
+    "F": (lambda k: k * (k + 1) // 2, lambda k, i: _lit_sign(k) * (2 * k + 1) ** (i + 1), False),
+    "psi": (lambda k: k * (k + 1) // 2, lambda k, i: (2 * k + 1) ** i, False),
+}
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("T"), st.integers(0, 6).map(lambda j: 2 * j)),
+        st.tuples(st.sampled_from(["eps", "F", "psi"]), st.integers(0, 12)),
+    ),
+    st.integers(0, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_family_against_literal_sum(fam_index, order):
+    fam, i = fam_index
+    expo, coeff, bilateral = _LITERAL_FAMILIES[fam]
+    acc = [0] * (order + 1)
+    for k in range(-order - 1, order + 2):
+        if (bilateral or k >= 0) and expo(k) <= order:
+            acc[expo(k)] += coeff(k, i)
+    assert family(fam, i, order) == S.Series(tuple(acc))
+
+
+@given(
+    st.sampled_from([1, -1]),
+    st.integers(1, 6),
+    st.sampled_from([1, -1]),
+    st.integers(1, 6),
+    st.integers(0, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_theta_f_against_literal_sum(sa, u, sb, v, order):
+    # f(a, b) = sum_{k in Z} a^{k(k+1)/2} b^{k(k-1)/2} at a = sa q^u, b = sb q^v
+    acc = [0] * (order + 1)
+    for k in range(-order - 1, order + 2):
+        ta, tb = k * (k + 1) // 2, k * (k - 1) // 2
+        e = u * ta + v * tb
+        if e <= order:
+            acc[e] += sa**ta * sb**tb
+    assert theta_f(sa, u, sb, v, order) == S.Series(tuple(acc))
