@@ -22,7 +22,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qram import identities as I
 from qram import numeric as N
 from qram import weighted as W
-from qram.cli import _at_least
+
+
+def _at_least(minimum: int):
+    """argparse type for an integer bound >= minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def structural_scan(max_weight: int) -> dict:

@@ -6,13 +6,18 @@ polynomials, and list the valid names. Output is text by default or JSON with
 --format json; JSON is byte-stable (sorted keys, canonical rationals, reports
 ordered by id). Exit status: 0 all checks passed, 1 some check failed,
 2 usage error or unknown name.
+
+Options take --opt value, --opt=value or any unique prefix of the name; -h or
+--help prints help and exits 0, and a usage error prints a usage line and
+"qram VERB: error: ..." to stderr and exits 2. The tables _OPTIONS and _VERBS
+drive the parser: argparse's set-up cost more than most commands.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import generators as G
 from . import identities as I
@@ -77,33 +82,19 @@ def _cmd_expand(args) -> int:
 
 
 def _verify_like(args, config: I.RunConfig, restrict_kind=None) -> int:
-    if args.all:
-        idents = I.registry()
-        if restrict_kind is not None:
-            idents = [e for e in idents if e.kind == restrict_kind]
-        footer = restrict_kind is None
-    else:
-        if not args.identity:
-            print("need --identity ID or --all", file=sys.stderr)
-            return 2
-        ident = I.lookup(args.identity)
-        if ident is None or (
-            restrict_kind is not None and ident.kind != restrict_kind
-        ):
-            valid = [
-                e.id
-                for e in I.registry()
-                if restrict_kind is None or e.kind == restrict_kind
-            ]
-            return _unknown("identity", args.identity, valid)
-        idents = [ident]
-        footer = False
+    if bool(args.all) == bool(args.identity):
+        print("need --identity ID or --all, not both", file=sys.stderr)
+        return 2
+    matching = [e for e in I.registry() if restrict_kind in (None, e.kind)]
+    idents = matching if args.all else [e for e in matching if e.id == args.identity]
+    if not idents:
+        return _unknown("identity", args.identity, [e.id for e in matching])
     try:
         reports = [I.verify_one(e, config) for e in idents]
     except ValueError as exc:  # a bound that leaves nothing to compare
         print(exc, file=sys.stderr)
         return 2
-    _print_reports(reports, args.format, footer)
+    _print_reports(reports, args.format, footer=args.all and restrict_kind is None)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
@@ -184,79 +175,130 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _at_least(minimum: int):
-    """argparse type for an integer bound >= minimum."""
+# name: (kind, default, help); a kind is str, int, bool (a flag), an int
+# minimum (an integer bound) or a tuple of choices
+_OPTIONS = {
+    "series": (str, None, "canonical series name, e.g. T4"),
+    "identity": (str, None, "a registry id, e.g. ode.P (for convolve, e.g. t9)"),
+    "all": (bool, False, "every registry entry (for convolve, every convolution)"),
+    "value": (str, None, "special value id, e.g. ct5.phi16"),
+    "family": (str, None, "T, F, psi or eps"),
+    "index": (int, None, "ratio index n"),
+    "order": (0, 200, "series order N"),
+    "nmax": (0, 100, "convolution bound"),
+    "precision": (N.MIN_PRECISION, 256, "precision in bits"),
+    "format": (("text", "json"), "text", "text or json"),
+}
 
-    def integer(text: str) -> int:
+# verb: (handler, help, options); an option ending in "!" is required
+_VERBS = {
+    "expand": (_cmd_expand, "print a named series to a given order", "series! order format"),
+    "verify": (_cmd_verify, "verify identities", "identity all order nmax precision format"),
+    "convolve": (_cmd_convolve, "run divisor-sum convolution checks", "identity all nmax format"),
+    "eval": (_cmd_eval, "check a closed-form special value", "value! precision format"),
+    "derive": (_cmd_derive, "derive a family ratio polynomial", "family! index! format"),
+    "list": (_cmd_list, "list series names and identity ids", "format"),
+}
+
+
+def _options(verb: str) -> dict[str, bool]:
+    return {n.rstrip("!"): n.endswith("!") for n in _VERBS[verb][2].split()}
+
+
+def _synopsis(name: str) -> str:
+    return f"--{name}" if _OPTIONS[name][0] is bool else f"--{name} {name.upper()}"
+
+
+def _usage(verb) -> str:
+    if verb is None:
+        return "usage: qram [-h] {" + ",".join(_VERBS) + "} ..."
+    parts = [_synopsis(n) if req else f"[{_synopsis(n)}]" for n, req in _options(verb).items()]
+    return f"usage: qram {verb} [-h] " + " ".join(parts)
+
+
+def _exit_with_help(verb):
+    rows = [("-h, --help", "show this help message and exit")]
+    if verb is None:
+        about = "exact q-series engine; run qram VERB -h for a verb's options"
+        rows += [(v, h) for v, (_, h, _) in _VERBS.items()]
+    else:
+        about = _VERBS[verb][1]
+        rows += [(_synopsis(n), _OPTIONS[n][2]) for n in _options(verb)]
+    width = max(len(a) for a, _ in rows)
+    print("\n".join([_usage(verb), "", about, "", *(f"  {a:{width}}  {b}" for a, b in rows)]))
+    raise SystemExit(0)
+
+
+def _fail(verb, message: str):
+    """Report a usage error as argparse does, with exit status 2."""
+    prog = "qram" if verb is None else f"qram {verb}"
+    print(_usage(verb), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _value(verb, name: str, text: str):
+    kind = _OPTIONS[name][0]
+    if kind is str or (isinstance(kind, tuple) and text in kind):
+        return text
+    if isinstance(kind, tuple):
+        _fail(verb, f"argument --{name}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+    try:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
+    except ValueError:
+        _fail(verb, f"argument --{name}: invalid integer value: {text!r}")
+    if kind is not int and value < kind:
+        _fail(verb, f"argument --{name}: must be >= {kind}, got {value}")
+    return value
 
-    return integer
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qram",
-        description="exact q-series engine: expand, verify, convolve, eval, derive, list",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, order=False, nmax=False, precision=False):
-        if order:
-            p.add_argument(
-                "--order", type=_at_least(0), default=200, help="series order N"
-            )
-        if nmax:
-            p.add_argument(
-                "--nmax", type=_at_least(0), default=100, help="convolution bound"
-            )
-        if precision:
-            p.add_argument(
-                "--precision", type=_at_least(N.MIN_PRECISION), default=256,
-                help="precision in bits",
-            )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("expand", help="print a named series to a given order")
-    p.add_argument("--series", required=True, help="canonical series name, e.g. T4")
-    common(p, order=True)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("verify", help="verify identities from the registry")
-    p.add_argument("--identity", help="a registry id, e.g. ode.P")
-    p.add_argument("--all", action="store_true", help="run the whole registry")
-    common(p, order=True, nmax=True, precision=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("convolve", help="run divisor-sum convolution checks")
-    p.add_argument("--identity", help="a convolution id, e.g. t9")
-    p.add_argument("--all", action="store_true", help="all convolution identities")
-    common(p, nmax=True)
-    p.set_defaults(func=_cmd_convolve)
-
-    p = sub.add_parser("eval", help="check a closed-form special value")
-    p.add_argument("--value", required=True, help="special value id, e.g. ct5.phi16")
-    common(p, precision=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("derive", help="derive a family ratio polynomial")
-    p.add_argument("--family", required=True, help="T, F, psi or eps")
-    p.add_argument("--index", required=True, type=int, help="ratio index n")
-    common(p)
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("list", help="list series names and identity ids")
-    common(p)
-    p.set_defaults(func=_cmd_list)
-
-    return parser
+def _parse(argv: list[str]):
+    """argv as (handler, namespace of the verb's options), by argparse's rules."""
+    if not argv:
+        _fail(None, "the following arguments are required: verb")
+    verb, rest = argv[0], argv[1:]
+    if verb == "-h" or (len(verb) > 2 and "--help".startswith(verb)):
+        _exit_with_help(None)
+    if verb not in _VERBS:
+        _fail(None, f"argument verb: invalid choice: {verb!r} (choose from {', '.join(_VERBS)})")
+    opts = _options(verb)
+    args = SimpleNamespace(**{n: _OPTIONS[n][1] for n in opts})
+    extras, i = [], 0
+    while i < len(rest):
+        token, i = rest[i], i + 1
+        key, eq, text = token.partition("=")
+        names = [n for n in (*opts, "help") if len(key) > 2 and f"--{n}".startswith(key)]
+        if key[2:] in names:
+            names = [key[2:]]
+        if token == "-h" or names == ["help"]:
+            _exit_with_help(verb)
+        if len(names) != 1:
+            if names:
+                _fail(verb, f"ambiguous option: {key} could match --{', --'.join(names)}")
+            extras.append(token)
+            continue
+        name = names[0]
+        if _OPTIONS[name][0] is bool:
+            if eq:
+                _fail(verb, f"argument --{name}: ignored explicit argument {text!r}")
+            text = True
+        elif not eq:
+            # as argparse: a negative number or a lone "-" is a value, not an option
+            nxt = rest[i] if i < len(rest) else "--"
+            if nxt.startswith("-") and nxt != "-" and not nxt[1:].isdigit():
+                _fail(verb, f"argument --{name}: expected one argument")
+            text, i = rest[i], i + 1
+        setattr(args, name, text if text is True else _value(verb, name, text))
+    missing = [f"--{n}" for n, req in opts.items() if req and getattr(args, n) is None]
+    if missing:
+        _fail(verb, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(verb, "unrecognized arguments: " + " ".join(extras))
+    return _VERBS[verb][0], args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.func(args)
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -450,6 +450,9 @@ def check_special(id_: str, precision: int = 256) -> dict:
         rel_err = abs_err / abs(want) if want != 0 else abs_err
         err = abs_err if sv.zero_target else rel_err
         tol = mp.mpf(2) ** (-(precision - _PASS_MARGIN))
+        # print 256-bit copies: at full precision, mpmath formats a value below
+        # about 2^-14300 through an int past CPython's 4300-digit str limit
+        got, want, abs_err, rel_err = (mp.mpf(x, prec=256) for x in (got, want, abs_err, rel_err))
         report = {
             "id": id_,
             "precision_bits": precision,

@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qram import identities as I
 from qram.cli import main
@@ -291,3 +297,116 @@ def test_eval_golden_output(capsys):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == EVAL_GOLDEN
+
+
+def outcome(capsys, argv):
+    """main's exit status, whether returned or raised, with stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+VERIFY_OPTIONS = ("--identity", "--all", "--order", "--nmax", "--precision", "--format")
+
+# argv, exit status, a substring of stderr; argparse gave the same statuses,
+# except for --identity with --all, where --all used to win silently
+BEHAVIOUR = [
+    ("verify --identity ode.P --order=30", 0, ""),
+    ("verify --identity ode.P --ord 30", 0, ""),
+    ("verify -h", 0, ""),
+    ("verify --help", 0, ""),
+    ("bogus", 2, "invalid choice: 'bogus'"),
+    ("expand --order 5", 2, "the following arguments are required: --series"),
+    ("list --format xml", 2, "invalid choice: 'xml'"),
+    ("verify --identity ode.P --order x", 2, "invalid integer value: 'x'"),
+    ("verify --identity ode.P --order", 2, "expected one argument"),
+    ("verify --all=1", 2, "ignored explicit argument '1'"),
+    ("verify --identity ode.P --order=", 2, "invalid integer value: ''"),
+    ("verify --identity ode.P --all --order 20", 2, "--identity ID or --all, not both"),
+    ("convolve --identity t9 --all", 2, "--identity ID or --all, not both"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", BEHAVIOUR, ids=[row[0] for row in BEHAVIOUR])
+def test_parser_behaviour(capsys, argv, code, err):
+    got, out, stderr = outcome(capsys, argv.split())
+    assert got == code
+    assert err in stderr
+    if "error: " in stderr:  # the parser's own errors
+        assert stderr.startswith("usage: qram ")
+    if "-h" in argv:
+        assert all(opt in out for opt in VERIFY_OPTIONS)
+
+
+_NAMES = (
+    "series", "identity", "all", "value", "family", "index", "order", "nmax",
+    "precision", "format", "help", "bogus",
+)
+_VALUES = st.one_of(
+    st.integers(-5, 30).map(str),
+    st.sampled_from(["x", "", "-x", "1.5", "T4", "ode.P", "t9", "hahn.P", "eps", "json", "xml"]),
+)
+_OPTION = st.builds(
+    lambda name, cut: "--" + name[:cut], st.sampled_from(_NAMES), st.integers(1, 9)
+)
+_TOKEN = st.one_of(
+    st.sampled_from(["expand", "verify", "convolve", "eval", "derive", "list", "-h", "--", "-"]),
+    _OPTION,
+    st.builds(lambda opt, value: f"{opt}={value}", _OPTION, _VALUES),
+    _VALUES,
+)
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    verb=st.sampled_from(["expand", "verify", "convolve", "eval", "derive", "list", "bogus"]),
+    rest=st.lists(_TOKEN, max_size=8),
+)
+def test_no_argv_ends_in_a_traceback(capsys, monkeypatch, verb, rest):
+    # the parser is under test, not the registry: a stub keeps verify --all cheap
+    monkeypatch.setattr(I, "verify_one", lambda ident, config: I.VerifyReport(ident.id, "pass", 0))
+    try:
+        code = main([verb, *rest])
+    except SystemExit as exc:
+        assert exc.code in (0, 2)
+    else:
+        assert isinstance(code, int)
+    capsys.readouterr()
+
+
+def test_cli_imports_no_argparse_gettext_or_locale():
+    # the parser's whole gain is not paying for these on every command
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import sys; from qram import cli; "
+        "code = cli.main(['verify', '--identity', 'ode.P', '--order', '20']); "
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--value", "t6.eps_plus", "--precision", "14300", "--format", "json"],
+        ["verify", "--identity", "t6.eps_plus", "--precision", "14300", "--format", "json"],
+    ],
+    ids=["eval", "verify"],
+)
+def test_errors_below_2_to_minus_14300_are_printed(capsys, argv):
+    # formatting such an error at full working precision used to exceed
+    # CPython's limit on int-to-str conversion
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload if isinstance(payload, dict) else payload[0])["status"] == "pass"
