@@ -62,10 +62,15 @@ def structural_scan(max_weight: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--order", type=_at_least(0), default=200, help="series truncation order")
-    ap.add_argument("--nmax", type=_at_least(0), default=100, help="convolution bound")
     ap.add_argument(
-        "--precision", type=_at_least(N.MIN_PRECISION), default=256,
+        "--order", type=_at_least(0), default=I.RunConfig.order,
+        help="series truncation order",
+    )
+    ap.add_argument(
+        "--nmax", type=_at_least(0), default=I.RunConfig.n_max, help="convolution bound"
+    )
+    ap.add_argument(
+        "--precision", type=_at_least(N.MIN_PRECISION), default=I.RunConfig.precision,
         help="bits for special values",
     )
     ap.add_argument("--max-weight", type=int, default=24, help="structural scan bound")

@@ -184,9 +184,9 @@ _OPTIONS = {
     "value": (str, None, "special value id, e.g. ct5.phi16"),
     "family": (str, None, "T, F, psi or eps"),
     "index": (int, None, "ratio index n"),
-    "order": (0, 200, "series order N"),
-    "nmax": (0, 100, "convolution bound"),
-    "precision": (N.MIN_PRECISION, 256, "precision in bits"),
+    "order": (0, I.RunConfig.order, "series order N"),
+    "nmax": (0, I.RunConfig.n_max, "convolution bound"),
+    "precision": (N.MIN_PRECISION, I.RunConfig.precision, "precision in bits"),
     "format": (("text", "json"), "text", "text or json"),
 }
 

@@ -102,10 +102,6 @@ def _eis(k):
     return lambda n: G.eisenstein(k, n)
 
 
-def _hahn(w):
-    return lambda n: G.hahn(w, n)
-
-
 def _subst(build: Callable[[int], S.Series], k: int, order: int) -> S.Series:
     """build(ceil(order/k)) re-expanded in q^k; order comes out >= order."""
     return S.substitute_power(build(-(-order // k)), k)
@@ -113,15 +109,6 @@ def _subst(build: Callable[[int], S.Series], k: int, order: int) -> S.Series:
 
 def _poly_series(poly: W.WeightedPoly) -> Callable[[int], S.Series]:
     return lambda n: W.eval_as_series(poly, n)
-
-
-def _ratio_rhs(fam: str, idx: int, base_index: int) -> Callable[[int], S.Series]:
-    def build(n: int) -> S.Series:
-        return S.mul(
-            W.eval_as_series(W.ratio_poly(fam, idx), n), G.family(fam, base_index, n)
-        )
-
-    return build
 
 
 def _scaled_euler(build: Callable[[int], S.Series], c) -> Callable[[int], S.Series]:
@@ -173,8 +160,10 @@ def _parity_reduction(kind: DivisorKind, c: Callable[[int], int]):
 
 
 def _series_identities() -> list[Identity]:
-    P, Q, R = _eis(1), _eis(2), _eis(3)
-    hE, hQ, hR = _hahn("E"), _hahn("Q"), _hahn("R")
+    Q, R = _eis(2), _eis(3)
+    # the same generators as polynomials, for sides built by eval_as_series
+    cQ, cR = W.gen("classical", "Q"), W.gen("classical", "R")
+    hE, hQ = W.gen("hahn", "E"), W.gen("hahn", "Q")
     ids: list[Identity] = []
 
     def serie(id_, statement, source, lhs, rhs):
@@ -211,8 +200,8 @@ def _series_identities() -> list[Identity]:
         "hahn.R_eq_EQ",
         "R~ = E~ Q~",
         "Hahn (2007)",
-        hR,
-        lambda n: S.mul(hE(n), hQ(n)),
+        lambda n: G.hahn("R", n),
+        _poly_series(hE * hQ),  # not canonicalized: that would give R~
     )
 
     # classical generators in the signed ring
@@ -227,39 +216,26 @@ def _series_identities() -> list[Identity]:
             _poly_series(image),
         )
 
-    # family ratio tables, cross-multiplied: X_{2n} = ratio * X_0
-    for n in range(1, 5):
-        serie(
-            f"t1.T{2*n}",
-            f"T_{2*n} = ({W.pretty(W.ratio_poly('T', n))}) * T_0",
-            "classical pentagonal table (Ramanujan; Berndt, Notebooks)",
-            (lambda m, nn=n: G.family("T", 2 * nn, m)),
-            _ratio_rhs("T", n, 0),
-        )
-    for n in range(1, 5):
-        serie(
-            f"t2.F{2*n}",
-            f"F_{2*n} = ({W.pretty(W.ratio_poly('F', n))}) * F_0",
-            "classical triangular table (Ramanujan; Berndt, Notebooks)",
-            (lambda m, nn=n: G.family("F", 2 * nn, m)),
-            _ratio_rhs("F", n, 0),
-        )
-    for n in range(1, 4):
-        serie(
-            f"t3.psi{2*n}",
-            f"psi_{2*n} = ({text(W.ratio_poly('psi', n))}) * psi_0",
-            "signed-ring analogue of the triangular table",
-            (lambda m, nn=n: G.family("psi", 2 * nn, m)),
-            _ratio_rhs("psi", n, 0),
-        )
-    for n in (1, 2):
-        serie(
-            f"t4.eps{2*n+1}",
-            f"eps_{2*n+1} = ({text(W.ratio_poly('eps', n))}) * eps_1",
-            "signed-ring analogue on unsigned pentagonal exponents",
-            (lambda m, nn=n: G.family("eps", 2 * nn + 1, m)),
-            _ratio_rhs("eps", n, 1),
-        )
+    # family ratio tables, cross-multiplied: X_{2n+b} = ratio * X_b, with the
+    # base member b = 1 for eps and 0 otherwise
+    for prefix, fam, top, source in (
+        ("t1", "T", 4, "classical pentagonal table (Ramanujan; Berndt, Notebooks)"),
+        ("t2", "F", 4, "classical triangular table (Ramanujan; Berndt, Notebooks)"),
+        ("t3", "psi", 3, "signed-ring analogue of the triangular table"),
+        ("t4", "eps", 2, "signed-ring analogue on unsigned pentagonal exponents"),
+    ):
+        b = 1 if fam == "eps" else 0
+        for n in range(1, top + 1):
+            ratio = W.ratio_poly(fam, n)
+            serie(
+                f"{prefix}.{fam}{2*n+b}",
+                f"{fam}_{2*n+b} = ({text(ratio)}) * {fam}_{b}",
+                source,
+                lambda m, f=fam, i=2 * n + b: G.family(f, i, m),
+                lambda m, f=fam, r=ratio, b=b: S.mul(
+                    W.eval_as_series(r, m), G.family(f, b, m)
+                ),
+            )
 
     # mixed-family corollaries
     def mixed_lhs(fam):
@@ -315,11 +291,11 @@ def _series_identities() -> list[Identity]:
 
     # higher Eisenstein weights as products
     serie("e8.square", "E_8 = Q^2", "classical Eisenstein relation", _eis(4),
-          lambda n: S.mul(Q(n), Q(n)))
+          _poly_series(cQ**2))
     serie("e10.QR", "E_10 = Q R", "classical Eisenstein relation", _eis(5),
-          lambda n: S.mul(Q(n), R(n)))
+          _poly_series(cQ * cR))
     serie("e14.QQR", "E_14 = Q^2 R", "classical Eisenstein relation", _eis(7),
-          lambda n: S.mul(S.mul(Q(n), Q(n)), R(n)))
+          _poly_series(cQ**2 * cR))
 
     # product-vs-sum identities
     serie(
@@ -336,17 +312,17 @@ def _series_identities() -> list[Identity]:
         lambda n: G.family("F", 0, n),
         lambda n: S.product_expansion([(1, 1, 3)], n),
     )
+
+    def phi_neg_squared_f(n):
+        phi_neg = S.substitute_negate(G.varphi(n))
+        return S.mul(S.mul(phi_neg, phi_neg), G.fneg(n))
+
     serie(
         "fact_f1",
         "eps_1 = phi(-q)^2 f(-q)",
         "Berndt, Ramanujan's Notebooks (theta product)",
         lambda n: G.family("eps", 1, n),
-        lambda n: S.mul(
-            S.mul(
-                S.substitute_negate(G.varphi(n)), S.substitute_negate(G.varphi(n))
-            ),
-            G.fneg(n),
-        ),
+        phi_neg_squared_f,
     )
     serie(
         "eps1.product",
@@ -388,16 +364,14 @@ def _series_identities() -> list[Identity]:
         "4 Q(q^2) + Q(q) = 5 E~(q)^2",
         "Berndt, q -> q^2 Eisenstein parametrization",
         lambda n: S.add(S.scale(4, _subst(Q, 2, n)), Q(n)),
-        lambda n: S.scale(5, S.mul(G.hahn("E", n), G.hahn("E", n))),
+        _poly_series((hE**2).scale(5)),
     )
     serie(
         "cor1.r_lemma",
         "8 R(q^2) - R(q) = 7 E~(q)^3",
         "Berndt, q -> q^2 Eisenstein parametrization",
         lambda n: S.sub(S.scale(8, _subst(R, 2, n)), R(n)),
-        lambda n: S.scale(
-            7, S.mul(S.mul(G.hahn("E", n), G.hahn("E", n)), G.hahn("E", n))
-        ),
+        _poly_series((hE**3).scale(7)),
     )
     serie(
         "t12.core",
@@ -557,9 +531,15 @@ def _compare(ident: Identity, order: int) -> VerifyReport:
 
     A side built below the requested order fails, with checked_up_to the
     order every side reached. Coefficients outside the domain are zeroed, so
-    nothing is asserted there.
+    nothing is asserted there. Raises ValueError when no n in 0..order lies
+    in the domain, since a pass would then have compared nothing.
     """
     first, step = _DOMAINS[ident.domain]
+    if first > order:
+        raise ValueError(
+            f"identity {ident.id}: no n in 0..{order} lies in its domain"
+            f" ({ident.domain})"
+        )
     sides = {"lhs": ident.lhs(order), "rhs": ident.rhs(order)}
     parts = {k: v if isinstance(v, tuple) else (v,) for k, v in sides.items()}
     built = min(order, *(s.order for p in parts.values() for s in p))
@@ -591,27 +571,11 @@ def _compare(ident: Identity, order: int) -> VerifyReport:
 
 
 def verify_series(ident: Identity | str, order: int) -> VerifyReport:
-    """Build both sides to the requested order and compare exactly.
-
-    A side built below the requested order fails, with checked_up_to the
-    order both sides reached.
-    """
     return _compare(_resolve(ident, "series"), order)
 
 
 def verify_convolution(ident: Identity | str, n_max: int) -> VerifyReport:
-    """Compare both sides at every n = 0..n_max in the identity's domain.
-
-    Raises ValueError when no n in 0..n_max lies in the domain, since a pass
-    would then have compared nothing.
-    """
-    ident = _resolve(ident, "convolution")
-    if _DOMAINS[ident.domain][0] > n_max:
-        raise ValueError(
-            f"identity {ident.id}: no n in 0..{n_max} lies in its domain"
-            f" ({ident.domain})"
-        )
-    return _compare(ident, n_max)
+    return _compare(_resolve(ident, "convolution"), n_max)
 
 
 def verify_numeric(ident: Identity | str, precision: int) -> VerifyReport:
@@ -642,7 +606,9 @@ def verify_one(
 
 
 def verify_all(
-    order: int = 200, n_max: int = 100, precision: int = 256
+    order: int = RunConfig.order,
+    n_max: int = RunConfig.n_max,
+    precision: int = RunConfig.precision,
 ) -> list[VerifyReport]:
     """Run every registered identity; reports come back sorted by id."""
     config = RunConfig(order, n_max, precision)

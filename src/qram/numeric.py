@@ -32,7 +32,7 @@ from typing import Callable, Optional
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .divisors import DivisorKind
+from .divisors import DivisorKind, boundary_value
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
 
@@ -118,6 +118,13 @@ def _lambert(kind: DivisorKind, r: int, s: int, point, c0=1, c1=1) -> Route:
         return math.log2(a(u) / u / (1 - ratio)) + s * math.log2(k) + k * log2_x
 
     return Route(point, partial, log2_tail, c0, c1)
+
+
+def _unit_lambert(kind: DivisorKind, s: int, point) -> Route:
+    """The generator 1 + c1 sum sigma_s(n) x^n of generators.eisenstein and
+    generators.hahn, with c1 = 1/boundary_value(kind, s), an integer for
+    every pair used here."""
+    return _lambert(kind, 0, s, point, c1=int(1 / boundary_value(kind, s)))
 
 
 def _lambert_sum(kind: DivisorKind, r: int, s: int, x, n: int):
@@ -227,14 +234,14 @@ def _specials() -> dict[str, SpecialValue]:
         "hahn.P",
         "P~(-e^{-pi}) = 2/pi",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _lambert(TILDE, 0, 1, _x_neg_pi, c1=8),
+        _unit_lambert(TILDE, 1, _x_neg_pi),
         lambda: 2 / mp.pi,
     )
     add(
         "hahn.E",
         "E~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _lambert(HAT, 0, 1, _x_neg_pi, c1=24),
+        _unit_lambert(HAT, 1, _x_neg_pi),
         lambda: mp.mpf(0),
         zero_target=True,
     )
@@ -242,14 +249,14 @@ def _specials() -> dict[str, SpecialValue]:
         "hahn.Q",
         "Q~(-e^{-pi}) = pi^2 / Gamma(3/4)^8",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _lambert(TILDE, 0, 3, _x_neg_pi, c1=-16),
+        _unit_lambert(TILDE, 3, _x_neg_pi),
         lambda: mp.pi**2 / gamma_three_quarters() ** 8,
     )
     add(
         "hahn.R",
         "R~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _lambert(TILDE, 0, 5, _x_neg_pi, c1=8),
+        _unit_lambert(TILDE, 5, _x_neg_pi),
         lambda: mp.mpf(0),
         zero_target=True,
     )
@@ -259,14 +266,14 @@ def _specials() -> dict[str, SpecialValue]:
         "classical.Q_2pi",
         "Q(e^{-2pi}) = 3 pi^2 / (4 Gamma(3/4)^8)",
         "Ramanujan; Berndt, Notebooks (values at e^{-2pi})",
-        _lambert(PLAIN, 0, 3, lambda: mp.exp(-2 * mp.pi), c1=240),
+        _unit_lambert(PLAIN, 3, lambda: mp.exp(-2 * mp.pi)),
         lambda: 3 * mp.pi**2 / (4 * gamma_three_quarters() ** 8),
     )
     add(
         "classical.Q_neg_pi",
         "Q(-e^{-pi}) = -3 pi^2 / Gamma(3/4)^8",
         "Ramanujan; Berndt, Notebooks (companion value at -e^{-pi})",
-        _lambert(PLAIN, 0, 3, _x_neg_pi, c1=240),
+        _unit_lambert(PLAIN, 3, _x_neg_pi),
         lambda: -3 * mp.pi**2 / gamma_three_quarters() ** 8,
         note=(
             "equals -4 Q(e^{-2pi}); printed chains sometimes end with the "

@@ -342,32 +342,29 @@ def classical_to_hahn(p: WeightedPoly) -> WeightedPoly:
     return WeightedPoly("hahn", out, p.den)
 
 
-def _generator_series(ring: str, order: int) -> dict[str, S.Series]:
-    if ring == "classical":
-        return {
-            "P": G.eisenstein(1, order),
-            "Q": G.eisenstein(2, order),
-            "R": G.eisenstein(3, order),
-        }
-    return {name: G.hahn(name, order) for name in "PEQR"}
-
-
 def eval_as_series(p: WeightedPoly, order: int) -> S.Series:
     """Substitute the generator q-expansions and expand to the given order.
 
-    Each distinct monomial of degree >= 2 costs one S.mul, as its parent (last
-    nonzero exponent lowered by one) times that generator; the terms are
-    summed on the int numerators and divided by the denominator once.
+    Only the generators that occur in p are built, each once. Each distinct
+    monomial of degree >= 2 costs one S.mul, as its parent (last nonzero
+    exponent lowered by one) times that generator; the terms are summed on
+    the int numerators and divided by the denominator once.
     """
-    gens = _generator_series(p.ring, order)
-    table = {_GEN_EXPS[name]: g for name, g in gens.items()}
-    table[(0, 0, 0, 0)] = S.one(order)
+    table = {(0, 0, 0, 0): S.one(order)}
 
     def monomial(exps: Exps) -> S.Series:
         if exps not in table:
             pos = max(q for q, e in enumerate(exps) if e)
-            parent = exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :]
-            table[exps] = S.mul(monomial(parent), gens["PEQR"[pos]])
+            name = "PEQR"[pos]
+            if sum(exps) == 1:
+                table[exps] = (
+                    G.hahn(name, order)
+                    if p.ring == "hahn"
+                    else G.eisenstein("PQR".index(name) + 1, order)
+                )
+            else:
+                parent = exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :]
+                table[exps] = S.mul(monomial(parent), monomial(_GEN_EXPS[name]))
         return table[exps]
 
     total = S.zero(order)

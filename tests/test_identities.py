@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qram import generators as G
 from qram import series as S
 from qram.divisors import DivisorKind, divisor_sum
 from qram.generators import eisenstein, hahn
@@ -325,3 +326,43 @@ def test_ode_identities_pin_the_scales():
     lhs = S.scale(12, S.euler_op(p))
     rhs = S.sub(S.mul(p, p), eisenstein(2, 10))
     assert lhs == rhs
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every generator build, as (name, args), that no other build made."""
+    log, depth = [], [0]
+    for name, fn in list(vars(G).items()):
+        if name.startswith("_") or getattr(fn, "__module__", None) != G.__name__:
+            continue
+
+        def record(*args, _name=name, _build=fn):
+            if not depth[0]:
+                log.append((_name, args))
+            depth[0] += 1
+            try:
+                return _build(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(G, name, record)
+    return log
+
+
+def test_no_side_builds_a_generator_twice(builds):
+    repeated = {}
+    for e in registry():
+        if e.kind == "numeric-ref":
+            continue
+        for side in ("lhs", "rhs"):
+            builds.clear()
+            getattr(e, side)(30)
+            twice = {b for b in builds if builds.count(b) > 1}
+            if twice:
+                repeated[f"{e.id}.{side}"] = sorted(twice)
+    assert repeated == {}
+
+
+def test_r_eq_eq_multiplies_e_and_q(builds):
+    lookup("hahn.R_eq_EQ").rhs(30)
+    assert sorted(builds) == [("hahn", ("E", 30)), ("hahn", ("Q", 30))]

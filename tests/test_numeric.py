@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qram import numeric
-from qram.divisors import DivisorKind
+from qram.divisors import DivisorKind, boundary_value
 from qram.numeric import (
     _A,
     _LOG2_SLACK,
@@ -70,6 +70,21 @@ def test_catalogue_contents():
         assert sv.id == id_
         assert sv.statement.strip() and sv.source.strip()
     assert {"hahn.P", "hahn.E", "hahn.Q", "hahn.R", "t8.f15", "l3.psi6pi"} <= set(SPECIALS)
+
+
+def test_generator_scalars_are_the_boundary_reciprocals():
+    # the six generator values scale their sums as generators.eisenstein/hahn
+    pairs = {
+        "hahn.P": (TILDE, 1, 8),
+        "hahn.E": (HAT, 1, 24),
+        "hahn.Q": (TILDE, 3, -16),
+        "hahn.R": (TILDE, 5, 8),
+        "classical.Q_2pi": (DivisorKind.PLAIN, 3, 240),
+        "classical.Q_neg_pi": (DivisorKind.PLAIN, 3, 240),
+    }
+    for id_, (kind, s, c1) in pairs.items():
+        route = SPECIALS[id_].route
+        assert (route.c0, route.c1) == (1, c1) == (1, 1 / boundary_value(kind, s)), id_
 
 
 def test_zero_targets_flagged():
