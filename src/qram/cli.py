@@ -76,8 +76,7 @@ def _cmd_expand(args) -> int:
     if args.format == "json":
         print(_dumps({"name": args.series, **ser.to_json()}))
     else:
-        coeffs = " ".join(S.rational_str(c) for c in ser.coeffs)
-        print(f"{args.series} order {ser.order}: {coeffs}")
+        print(f"{args.series} order {ser.order}: {' '.join(ser.coeff_strs())}")
     return 0
 
 
@@ -85,10 +84,14 @@ def _verify_like(args, config: I.RunConfig, restrict_kind=None) -> int:
     if bool(args.all) == bool(args.identity):
         print("need --identity ID or --all, not both", file=sys.stderr)
         return 2
-    matching = [e for e in I.registry() if restrict_kind in (None, e.kind)]
-    idents = matching if args.all else [e for e in matching if e.id == args.identity]
-    if not idents:
-        return _unknown("identity", args.identity, [e.id for e in matching])
+    if args.all:
+        idents = [e for e in I.registry() if restrict_kind in (None, e.kind)]
+    else:
+        ident = I.lookup(args.identity)
+        if ident is None or restrict_kind not in (None, ident.kind):
+            valid = [e.id for e in I.registry() if restrict_kind in (None, e.kind)]
+            return _unknown("identity", args.identity, valid)
+        idents = [ident]
     try:
         reports = [I.verify_one(e, config) for e in idents]
     except ValueError as exc:  # a bound that leaves nothing to compare

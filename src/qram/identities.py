@@ -22,7 +22,6 @@ Every report is deterministic: sorted by id, exact values in the failure slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -30,6 +29,7 @@ from . import generators as G
 from . import series as S
 from . import weighted as W
 from .divisors import DivisorKind, convolution_sequence, divisor_sum, divisor_sum_table
+from .record import Record
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
 
@@ -40,29 +40,39 @@ _DOMAINS = {"all n >= 0": (0, 1), "n >= 1": (1, 1), "odd n >= 1": (1, 2)}
 Side = S.Series | tuple[S.Series, ...]
 
 
-@dataclass(frozen=True)
-class Identity:
-    id: str
-    kind: str  # "series" | "convolution" | "numeric-ref"
-    statement: str
-    source: str
-    domain: str = "all n >= 0"
-    # builders returning sides of order >= the argument (order or n_max)
-    lhs: Optional[Callable[[int], Side]] = None
-    rhs: Optional[Callable[[int], Side]] = None
+class Identity(Record):
+    __slots__ = _fields = ("id", "kind", "statement", "source", "domain", "lhs", "rhs")
 
-    def __post_init__(self):
-        if self.kind != "numeric-ref" and self.domain not in _DOMAINS:
-            raise KeyError(f"identity {self.id}: unknown domain {self.domain!r}")
+    def __init__(
+        self,
+        id: str,
+        kind: str,  # "series" | "convolution" | "numeric-ref"
+        statement: str,
+        source: str,
+        domain: str = "all n >= 0",
+        # builders returning sides of order >= the argument (order or n_max)
+        lhs: Optional[Callable[[int], Side]] = None,
+        rhs: Optional[Callable[[int], Side]] = None,
+    ):
+        if kind != "numeric-ref" and domain not in _DOMAINS:
+            raise KeyError(f"identity {id}: unknown domain {domain!r}")
+        for name, value in zip(self._fields, (id, kind, statement, source, domain, lhs, rhs)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    id: str
-    status: str  # "pass" | "fail"
-    checked_up_to: int
-    first_failure: Optional[dict] = None  # {"n": int, "lhs": str, "rhs": str}
-    note: Optional[str] = None
+class VerifyReport(Record):
+    __slots__ = _fields = ("id", "status", "checked_up_to", "first_failure", "note")
+
+    def __init__(
+        self,
+        id: str,
+        status: str,  # "pass" | "fail"
+        checked_up_to: int,
+        first_failure: Optional[dict] = None,  # {"n": int, "lhs": str, "rhs": str}
+        note: Optional[str] = None,
+    ):
+        for name, value in zip(self._fields, (id, status, checked_up_to, first_failure, note)):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         out = {
@@ -77,13 +87,21 @@ class VerifyReport:
         return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Orders for a full verification run."""
+class RunConfig(Record):
+    """Orders for a full verification run; the class attributes are the defaults.
 
-    order: int = 200
-    n_max: int = 100
-    precision: int = 256
+    No __slots__ here: a slot would hide its class-level default.
+    """
+
+    _fields = ("order", "n_max", "precision")
+    order = 200
+    n_max = 100
+    precision = 256
+
+    def __init__(self, order: int = order, n_max: int = n_max, precision: int = precision):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "precision", precision)
 
 
 def _fmt(v) -> str:
@@ -225,8 +243,7 @@ def _series_identities() -> list[Identity]:
         ("t4", "eps", 2, "signed-ring analogue on unsigned pentagonal exponents"),
     ):
         b = 1 if fam == "eps" else 0
-        for n in range(1, top + 1):
-            ratio = W.ratio_poly(fam, n)
+        for n, ratio in enumerate(W.ratio_polys(fam, top)[1:], 1):
             serie(
                 f"{prefix}.{fam}{2*n+b}",
                 f"{fam}_{2*n+b} = ({text(ratio)}) * {fam}_{b}",

@@ -24,7 +24,6 @@ the 8 digits of abs_err.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import merge
 from itertools import count
 from typing import Callable, Optional
@@ -33,6 +32,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from .divisors import DivisorKind, boundary_value
+from .record import Record
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
 
@@ -65,8 +65,7 @@ def gamma_three_quarters():
 # the two term families
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """c0 + c1 * (t_1 + t_2 + ...) at x = point().
 
     point and partial run inside workprec; partial(x, n) is t_1 + ... + t_n at
@@ -74,11 +73,18 @@ class Route:
     log2|x| <= l (inf where none holds).
     """
 
-    point: Callable
-    partial: Callable
-    log2_tail: Callable[[float, int], float]
-    c0: int = 1
-    c1: int = 1
+    __slots__ = _fields = ("point", "partial", "log2_tail", "c0", "c1")
+
+    def __init__(
+        self,
+        point: Callable,
+        partial: Callable,
+        log2_tail: Callable[[float, int], float],
+        c0: int = 1,
+        c1: int = 1,
+    ):
+        for name, value in zip(self._fields, (point, partial, log2_tail, c0, c1)):
+            object.__setattr__(self, name, value)
 
     def stop(self, log2_x: float, bits: int) -> tuple[int, float]:
         """The first N with |c1| * tail bound from N < 2^-bits; log2 of that."""
@@ -196,15 +202,22 @@ def _theta(u: int, v: int, point) -> Route:
 # the special values
 
 
-@dataclass(frozen=True)
-class SpecialValue:
-    id: str
-    statement: str
-    source: str
-    route: Route
-    closed: Callable  # () -> mpf, inside workprec
-    zero_target: bool = False  # compare absolutely when the target is 0
-    note: Optional[str] = None
+class SpecialValue(Record):
+    __slots__ = _fields = ("id", "statement", "source", "route", "closed", "zero_target", "note")
+
+    def __init__(
+        self,
+        id: str,
+        statement: str,
+        source: str,
+        route: Route,
+        closed: Callable,  # () -> mpf, inside workprec
+        zero_target: bool = False,  # compare absolutely when the target is 0
+        note: Optional[str] = None,
+    ):
+        values = (id, statement, source, route, closed, zero_target, note)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 def _x_neg_pi():

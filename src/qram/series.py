@@ -11,33 +11,33 @@ hundred).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul as _imul
 
 from .divisors import DivisorKind, divisor_sum_table
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     """nums[n] / den is the coefficient of q^n; order == len(nums) - 1.
 
     Construction reduces to lowest terms, den > 0 and gcd(den, *nums) == 1,
     so equal fields mean equal series.
     """
 
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = _fields = ("nums", "den")
 
-    def __post_init__(self):
-        if not self.nums:
+    def __init__(self, nums: tuple[int, ...], den: int = 1):
+        if not nums:
             raise ValueError("Series needs at least the constant coefficient")
-        if self.den != 1:
-            if self.den == 0:
+        if den != 1:
+            if den == 0:
                 raise ZeroDivisionError("Series denominator is zero")
-            g = math.gcd(self.den, *self.nums) * (1 if self.den > 0 else -1)
-            object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
-            object.__setattr__(self, "den", self.den // g)
+            g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+            nums = tuple(x // g for x in nums)
+            den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @property
     def order(self) -> int:
@@ -51,11 +51,14 @@ class Series:
     def __getitem__(self, n: int) -> Fraction:
         return Fraction(self.nums[n], self.den)
 
+    def coeff_strs(self) -> list[str]:
+        """Each coefficient in rational_str form."""
+        if self.den == 1:
+            return [str(x) for x in self.nums]
+        return [rational_str(c) for c in self.coeffs]
+
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [rational_str(c) for c in self.coeffs],
-        }
+        return {"order": self.order, "coeffs": self.coeff_strs()}
 
     def __repr__(self) -> str:
         return f"Series({to_text(self)!r}, order={self.order})"

@@ -24,13 +24,13 @@ representation-independent ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from . import generators as G
 from . import series as S
 from .divisors import DivisorKind, boundary_value
+from .record import Record
 
 Exps = tuple[int, int, int, int]
 
@@ -43,31 +43,31 @@ _GEN_EXPS: dict[str, Exps] = {
 _WEIGHTS = (2, 2, 4, 6)
 
 
-@dataclass(frozen=True)
-class WeightedPoly:
+class WeightedPoly(Record):
     """nums[exps] / den is the coefficient of the monomial with exponents exps.
 
     Construction drops zero numerators and reduces to lowest terms, den > 0
-    and gcd(den, *nums) == 1, so equal fields mean equal polynomials.
+    and gcd(den, *nums) == 1, so equal fields mean equal polynomials. ring is
+    "classical" or "hahn".
     """
 
-    ring: str  # "classical" or "hahn"
-    nums: Mapping[Exps, int] = field(default_factory=dict)
-    den: int = 1
+    __slots__ = _fields = ("ring", "nums", "den")
 
-    def __post_init__(self):
-        if self.ring not in ("classical", "hahn"):
-            raise ValueError(f"unknown ring {self.ring!r}")
-        if self.den == 0:
+    # nums is only read, into a new dict, so the shared default stays empty
+    def __init__(self, ring: str, nums: Mapping[Exps, int] = {}, den: int = 1):
+        if ring not in ("classical", "hahn"):
+            raise ValueError(f"unknown ring {ring!r}")
+        if den == 0:
             raise ZeroDivisionError("WeightedPoly denominator is zero")
-        nums = {e: c for e, c in self.nums.items() if c}
-        if self.ring == "classical" and any(e[1] for e in nums):
+        nums = {e: c for e, c in nums.items() if c}
+        if ring == "classical" and any(e[1] for e in nums):
             raise ValueError("classical ring has no second generator (j must be 0)")
-        g = math.gcd(self.den, *nums.values()) * (1 if self.den > 0 else -1)
+        g = math.gcd(den, *nums.values()) * (1 if den > 0 else -1)
         if g != 1:
             nums = {e: c // g for e, c in nums.items()}
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "den", den // g)
 
     @property
     def terms(self) -> dict[Exps, Fraction]:
@@ -155,20 +155,20 @@ def gen(ring: str, name: str) -> WeightedPoly:
     return WeightedPoly(ring, {_GEN_EXPS[name]: 1})
 
 
-@dataclass(frozen=True)
-class DerivationRules:
+class DerivationRules(Record):
     """Images of the generators under c * q * d/dq, plus the scale c.
 
     Each image must be weight-homogeneous of the generator's weight + 2; the
     constructor enforces this so a mistyped rule fails immediately.
     """
 
-    ring: str
-    scale: Fraction
-    images: Mapping[str, WeightedPoly]
+    __slots__ = _fields = ("ring", "scale", "images")
 
-    def __post_init__(self):
-        for name, img in self.images.items():
+    def __init__(self, ring: str, scale: Fraction, images: Mapping[str, WeightedPoly]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "images", images)
+        for name, img in images.items():
             want = _WEIGHTS["PEQR".index(name)] + 2
             got = img.homogeneous_weight()
             if not img.is_zero() and got != want:
@@ -277,17 +277,28 @@ def ratio_poly(fam: str, n: int) -> WeightedPoly:
     r_n = X_{2n}/X_0, where D is the scaled derivation. Output is canonical
     (E*Q pairs rewritten to R in the hahn ring); weight-homogeneous of 2n.
     """
+    return canonicalize(_ratio_chain(fam, n)[n])
+
+
+def ratio_polys(fam: str, top: int) -> list[WeightedPoly]:
+    """ratio_poly(fam, n) for n = 0..top, from one pass of the recurrence."""
+    return [canonicalize(r) for r in _ratio_chain(fam, top)]
+
+
+def _ratio_chain(fam: str, top: int) -> list[WeightedPoly]:
+    """r_0, ..., r_top of ratio_poly's recurrence, before canonicalize."""
     if fam not in _FAMILY_SETUP:
         raise KeyError(f"ratio_poly: unknown family {fam!r}")
-    if n < 0:
+    if top < 0:
         raise ValueError("ratio_poly: n must be >= 0")
     ring, _, gspec = _FAMILY_SETUP[fam]
     g = WeightedPoly(ring, gspec)
     rules = family_rules(fam)
-    r = constant(ring, 1)
-    for _ in range(n):
-        r = r * g + derive(rules, r)
-    return canonicalize(r)
+    chain = [constant(ring, 1)]
+    for _ in range(top):
+        r = chain[-1]
+        chain.append(r * g + derive(rules, r))
+    return chain
 
 
 def phi_poly(variant: str, r: int, s: int) -> WeightedPoly:

@@ -1,6 +1,5 @@
 """Identity registry and the three verification drivers."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -201,6 +200,16 @@ def _bumped(build, n, delta, component=None):
     return bad
 
 
+def _rebuilt(base, **changes):
+    """base with some fields changed, rebuilt through Identity(...) so its
+    construction-time checks run."""
+    fields = {
+        "id": base.id, "kind": base.kind, "statement": base.statement,
+        "source": base.source, "domain": base.domain, "lhs": base.lhs, "rhs": base.rhs,
+    }
+    return Identity(**{**fields, **changes})
+
+
 # first_failure of a corrupted convolution entry, rendered as before the
 # convolution sides became Series
 @pytest.mark.parametrize(
@@ -221,7 +230,7 @@ def _bumped(build, n, delta, component=None):
 )
 def test_convolution_failure_rendering(id_, side, n, delta, component, failure):
     base = lookup(id_)
-    bad = replace(base, **{side: _bumped(getattr(base, side), n, delta, component)})
+    bad = _rebuilt(base, **{side: _bumped(getattr(base, side), n, delta, component)})
     rep = verify_convolution(bad, 30)
     assert (rep.status, rep.checked_up_to, rep.note) == ("fail", 30, None)
     assert rep.first_failure == failure
@@ -230,7 +239,7 @@ def test_convolution_failure_rendering(id_, side, n, delta, component, failure):
 def test_unknown_domain_is_rejected_at_construction():
     base = lookup("t9")
     with pytest.raises(KeyError, match="unknown domain 'even n >= 0'"):
-        replace(base, domain="even n >= 0")
+        _rebuilt(base, domain="even n >= 0")
 
 
 def _doubling(c, sign, letter, k):

@@ -26,6 +26,7 @@ from qram.weighted import (
     phi_poly,
     pretty,
     ratio_poly,
+    ratio_polys,
 )
 
 
@@ -367,8 +368,10 @@ def test_family_rules_scales():
 
 def test_ratio_poly_weight_homogeneous():
     for fam in ("T", "F", "psi", "eps"):
+        table = ratio_polys(fam, 8)  # one pass of the recurrence
         for n in range(0, 9):
             poly = ratio_poly(fam, n)
+            assert table[n] == poly, (fam, n)
             assert poly.homogeneous_weight() == 2 * n, (fam, n)
 
 
