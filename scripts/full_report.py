@@ -39,7 +39,7 @@ def _at_least(minimum: int):
 def structural_scan(max_weight: int) -> dict:
     """Homogeneity and coefficient-denominator survey of ratio_poly."""
     out = {}
-    for fam in ("T", "F", "psi", "eps"):
+    for fam in W.FAMILY_SETUP:
         rows = []
         denoms = set()
         for n in range(0, max_weight // 2 + 1):

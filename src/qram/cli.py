@@ -5,7 +5,8 @@ run convolution checks, evaluate closed-form special values, derive ratio
 polynomials, and list the valid names. Output is text by default or JSON with
 --format json; JSON is byte-stable (sorted keys, canonical rationals, reports
 ordered by id). Exit status: 0 all checks passed, 1 some check failed,
-2 usage error or unknown name.
+2 usage error, unknown name or an unprintable expansion, 141 stdout closed
+by its reader (128 + SIGPIPE, as the shell reports it).
 
 Options take --opt value, --opt=value or any unique prefix of the name; -h or
 --help prints help and exits 0, and a usage error prints a usage line and
@@ -16,6 +17,7 @@ drive the parser: argparse's set-up cost more than most commands.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -24,8 +26,6 @@ from . import identities as I
 from . import numeric as N
 from . import series as S
 from . import weighted as W
-
-_FAMILIES = ("T", "F", "psi", "eps")
 
 
 def _dumps(payload) -> str:
@@ -73,10 +73,15 @@ def _cmd_expand(args) -> int:
         ser = S.truncate(G.series_by_name(args.series, args.order), args.order)
     except KeyError:
         return _unknown("series name", args.series, G.NAME_PATTERNS)
-    if args.format == "json":
-        print(_dumps({"name": args.series, **ser.to_json()}))
-    else:
-        print(f"{args.series} order {ser.order}: {' '.join(ser.coeff_strs())}")
+    try:
+        if args.format == "json":
+            text = _dumps({"name": args.series, **ser.to_json()})
+        else:
+            text = f"{args.series} order {ser.order}: {' '.join(ser.coeff_strs())}"
+    except ValueError as exc:  # a coefficient past int's str-conversion limit
+        print(f"cannot print {args.series}: {exc}", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 
@@ -131,8 +136,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    if args.family not in _FAMILIES:
-        return _unknown("family", args.family, list(_FAMILIES))
+    if args.family not in W.FAMILY_SETUP:
+        return _unknown("family", args.family, list(W.FAMILY_SETUP))
     if args.index < 0:
         print("--index must be >= 0", file=sys.stderr)
         return 2
@@ -228,7 +233,8 @@ def _exit_with_help(verb):
         about = _VERBS[verb][1]
         rows += [(_synopsis(n), _OPTIONS[n][2]) for n in _options(verb)]
     width = max(len(a) for a, _ in rows)
-    print("\n".join([_usage(verb), "", about, "", *(f"  {a:{width}}  {b}" for a, b in rows)]))
+    lines = [_usage(verb), "", about, "", *(f"  {a:{width}}  {b}" for a, b in rows)]
+    print("\n".join(lines), flush=True)  # a closed stdout raises here, inside main
     raise SystemExit(0)
 
 
@@ -300,8 +306,18 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
-    return handler(args)
+    try:
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        status = handler(args)
+        if argv is None:  # as the program, main owns stdout: flush it before exit does
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (qram list | head -1): point stdout at
+        # devnull so the flush at exit cannot raise again, and exit as the
+        # shell reports a SIGPIPE death
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 from . import generators as G
 from . import series as S
 from . import weighted as W
+from . import numeric
 from .divisors import DivisorKind, convolution_sequence, divisor_sum, divisor_sum_table
 from .record import Record
 
@@ -288,14 +289,13 @@ def _series_identities() -> list[Identity]:
 
     # Ramanujan's Phi table and its signed analogue, cleared of denominators
     phi_indices = ((1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (2, 7))
-    for variant, key, name, source, mults in (
-        ("plain", "phi", "Phi", "Ramanujan (1916), Phi table",
-         (288, 720, 1008, 1728, 1728, 1728)),
-        ("tilde", "tr", "Phi~", "signed analogue of the Phi table",
-         (32, 16, 16, 64, 64, 64)),
+    for variant, key, name, source in (
+        ("plain", "phi", "Phi", "Ramanujan (1916), Phi table"),
+        ("tilde", "tr", "Phi~", "signed analogue of the Phi table"),
     ):
-        for (r, s), mult in zip(phi_indices, mults):
-            poly = W.phi_poly(variant, r, s).scale(mult)
+        for r, s in phi_indices:
+            phi = W.phi_poly(variant, r, s)
+            mult, poly = phi.den, phi.scale(phi.den)
             serie(
                 f"{key}.{r}_{s}",
                 f"{mult} {name}_{{{r},{s}}} = {text(poly)}",
@@ -504,8 +504,6 @@ def _convolution_identities() -> list[Identity]:
 def _numeric_identities() -> list[Identity]:
     # closed forms live in numeric.SPECIALS, under the same ids; these
     # entries make a full verify run cover them
-    from . import numeric
-
     out = []
     for sid, sv in numeric.SPECIALS.items():
         out.append(
@@ -596,8 +594,6 @@ def verify_convolution(ident: Identity | str, n_max: int) -> VerifyReport:
 
 
 def verify_numeric(ident: Identity | str, precision: int) -> VerifyReport:
-    from . import numeric
-
     ident = _resolve(ident, "numeric-ref")
     return numeric_report(ident.id, numeric.check_special(ident.id, precision))
 
@@ -622,13 +618,8 @@ def verify_one(
     return verify_numeric(ident, config.precision)
 
 
-def verify_all(
-    order: int = RunConfig.order,
-    n_max: int = RunConfig.n_max,
-    precision: int = RunConfig.precision,
-) -> list[VerifyReport]:
+def verify_all(config: RunConfig = RunConfig()) -> list[VerifyReport]:
     """Run every registered identity; reports come back sorted by id."""
-    config = RunConfig(order, n_max, precision)
     return [verify_one(ident, config) for ident in registry()]
 
 

@@ -444,7 +444,7 @@ def _specials() -> dict[str, SpecialValue]:
 SPECIALS: dict[str, SpecialValue] = _specials()
 
 
-def check_special(id_: str, precision: int = 256) -> dict:
+def check_special(id_: str, precision: int) -> dict:
     """Compare the defining sum with the closed form at `precision` bits.
 
     Passes when the relative error (absolute, for zero targets) is below
@@ -488,5 +488,5 @@ def check_special(id_: str, precision: int = 256) -> dict:
     return report
 
 
-def check_all_specials(precision: int = 256) -> list[dict]:
+def check_all_specials(precision: int) -> list[dict]:
     return [check_special(id_, precision) for id_ in sorted(SPECIALS)]

@@ -252,7 +252,7 @@ def canonicalize(p: WeightedPoly) -> WeightedPoly:
 
 
 # family -> (ring, derivation scale, logarithmic-derivative base g)
-_FAMILY_SETUP = {
+FAMILY_SETUP = {
     "T": ("classical", 24, {(1, 0, 0, 0): 1}),
     "F": ("classical", 8, {(1, 0, 0, 0): 1}),
     "psi": ("hahn", 8, {(1, 0, 0, 0): 1}),
@@ -263,7 +263,7 @@ _BASE_RULES = {"classical": CLASSICAL_RULES, "hahn": HAHN_RULES}
 
 
 def family_rules(fam: str) -> DerivationRules:
-    ring, c, _ = _FAMILY_SETUP[fam]
+    ring, c, _ = FAMILY_SETUP[fam]
     return _BASE_RULES[ring].rescaled(c)
 
 
@@ -287,11 +287,11 @@ def ratio_polys(fam: str, top: int) -> list[WeightedPoly]:
 
 def _ratio_chain(fam: str, top: int) -> list[WeightedPoly]:
     """r_0, ..., r_top of ratio_poly's recurrence, before canonicalize."""
-    if fam not in _FAMILY_SETUP:
+    if fam not in FAMILY_SETUP:
         raise KeyError(f"ratio_poly: unknown family {fam!r}")
     if top < 0:
         raise ValueError("ratio_poly: n must be >= 0")
-    ring, _, gspec = _FAMILY_SETUP[fam]
+    ring, _, gspec = FAMILY_SETUP[fam]
     g = WeightedPoly(ring, gspec)
     rules = family_rules(fam)
     chain = [constant(ring, 1)]

@@ -380,11 +380,18 @@ def test_no_argv_ends_in_a_traceback(capsys, monkeypatch, verb, rest):
     capsys.readouterr()
 
 
+def _fresh_env():
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+
+
 def test_cli_imports_no_argparse_gettext_or_locale():
     # the parser's and the records' whole gain is not paying for these on
     # every command; each verb runs once in the same fresh interpreter
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     verbs = [
         ["verify", "--identity", "ode.P", "--order", "20"],
         ["convolve", "--identity", "t9", "--nmax", "20"],
@@ -400,7 +407,8 @@ def test_cli_imports_no_argparse_gettext_or_locale():
         " & set(sys.modules)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True,
+        check=True,
     )
     assert proc.stdout.splitlines()[-1] == f"{[0] * len(verbs)} []"
 
@@ -420,3 +428,49 @@ def test_errors_below_2_to_minus_14300_are_printed(capsys, argv):
     assert code == 0
     payload = json.loads(out)
     assert (payload if isinstance(payload, dict) else payload[0])["status"] == "pass"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unprintable_expansion_is_an_error_not_a_traceback(capsys, fmt):
+    # the q^2 coefficient is 2^99999, past int's 4300-digit str limit
+    code, out, err = run(
+        capsys, "expand", "--series", "phi_tilde_99999_0", "--order", "2", "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot print phi_tilde_99999_0: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["list"], ["expand", "--series", "E8", "--order", "3000"], ["-h"]],
+    ids=["list", "expand", "help"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # as `qram list | head -1` once the reader has gone: the read end is
+    # closed before the child writes, so its first write or its flush fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qram.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=_fresh_env(), timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_package_binds_only_the_layer_modules():
+    script = (
+        "import qram; "
+        "print(sorted(n for n in vars(qram) if n == '__version__' or n[0] != '_'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True,
+        check=True,
+    )
+    # the import system also binds record, which the layers import
+    names = ["__version__", "divisors", "generators", "identities", "numeric", "record",
+             "series", "weighted"]
+    assert proc.stdout == f"{names}\n"

@@ -307,7 +307,7 @@ def test_report_json_round_trip():
 
 
 def test_verify_all_sorted_and_green():
-    reports = verify_all(order=40, n_max=30, precision=128)
+    reports = verify_all(RunConfig(40, 30, 128))
     assert [r.id for r in reports] == sorted(r.id for r in reports)
     bad = [r.id for r in reports if r.status != "pass"]
     assert bad == []
