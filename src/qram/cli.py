@@ -78,7 +78,9 @@ def _cmd_expand(args) -> int:
             text = _dumps({"name": args.series, **ser.to_json()})
         else:
             text = f"{args.series} order {ser.order}: {' '.join(ser.coeff_strs())}"
-    except ValueError as exc:  # a coefficient past int's str-conversion limit
+    except ValueError as exc:
+        if "int_max_str_digits" not in str(exc):  # only int's str-conversion limit
+            raise
         print(f"cannot print {args.series}: {exc}", file=sys.stderr)
         return 2
     print(text)
@@ -309,13 +311,16 @@ def main(argv=None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         status = handler(args)
-        if argv is None:  # as the program, main owns stdout: flush it before exit does
-            sys.stdout.flush()
+        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout (qram list | head -1): point stdout at
-        # devnull so the flush at exit cannot raise again, and exit as the
-        # shell reports a SIGPIPE death
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout (qram list | head -1): exit as the shell
+        # reports a SIGPIPE death. As the program, also point stdout at
+        # devnull so the flush at exit cannot raise again; an in-process
+        # caller's stdout is its own.
+        if argv is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 141
     return status
 

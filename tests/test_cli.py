@@ -430,15 +430,33 @@ def test_errors_below_2_to_minus_14300_are_printed(capsys, argv):
     assert (payload if isinstance(payload, dict) else payload[0])["status"] == "pass"
 
 
+@pytest.fixture
+def int_str_limit():
+    """Set the interpreter's int-to-str digit limit for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_unprintable_expansion_is_an_error_not_a_traceback(capsys, fmt):
-    # the q^2 coefficient is 2^99999, past int's 4300-digit str limit
+def test_unprintable_expansion_is_an_error_not_a_traceback(capsys, int_str_limit, fmt):
+    # the q^2 coefficient is 2^99999, past int's default 4300-digit str limit
+    int_str_limit(4300)
     code, out, err = run(
         capsys, "expand", "--series", "phi_tilde_99999_0", "--order", "2", "--format", fmt
     )
     assert (code, out) == (2, "")
     assert err.startswith("cannot print phi_tilde_99999_0: ")
     assert err.count("\n") == 1
+
+
+def test_expansion_prints_in_full_without_the_digit_limit(capsys, int_str_limit):
+    int_str_limit(0)
+    code, out, err = run(capsys, "expand", "--series", "phi_tilde_99999_0", "--order", "2")
+    assert (code, err) == (0, "")
+    assert len(out.split()[-1]) == 30103  # the q^2 coefficient, near 2^99999
 
 
 @pytest.mark.parametrize(
@@ -459,6 +477,26 @@ def test_closed_stdout_exits_141_quietly(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_closed_stdout_in_process_leaves_the_callers_fd_alone(monkeypatch, tmp_path):
+    with open(tmp_path / "out", "w") as own:
+
+        class Closed:  # a caller's stdout whose reader has gone
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return own.fileno()
+
+        before = os.fstat(own.fileno())
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["list"]) == 141
+        after = os.fstat(own.fileno())
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 def test_package_binds_only_the_layer_modules():
