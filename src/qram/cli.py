@@ -73,6 +73,9 @@ def _cmd_expand(args) -> int:
         ser = S.truncate(G.series_by_name(args.series, args.order), args.order)
     except KeyError:
         return _unknown("series name", args.series, G.NAME_PATTERNS)
+    except ValueError as exc:  # an index past G.MAX_NAME_INDEX, nothing built
+        print(exc, file=sys.stderr)
+        return 2
     try:
         if args.format == "json":
             text = _dumps({"name": args.series, **ser.to_json()})

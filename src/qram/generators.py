@@ -201,6 +201,7 @@ _THETA_NAME = re.compile(r"^theta_([pm])(\d+)_([pm])(\d+)$")
 _PHI_NAME = re.compile(r"^phi(_tilde)?_(\d+)_(\d+)$")
 _FAMILY_NAME = re.compile(r"^(T|F|psi|eps)(\d+)$")
 _EIS_NAME = re.compile(r"^E(\d+)$")
+_NUMBERED_NAMES = (_EIS_NAME, _FAMILY_NAME, _THETA_NAME, _PHI_NAME)
 
 NAME_PATTERNS = [
     "P, Q, R, E2, E4, ..., E14 (Eisenstein; P=E2, Q=E4, R=E6)",
@@ -212,8 +213,25 @@ NAME_PATTERNS = [
 ]
 
 
+# the largest integer a series name may carry (family or Phi index, theta
+# exponent, Eisenstein weight): past it a name asks for coefficients that no
+# order-bounded build finishes, such as 3^(10^20) for psi<10^20> at q^1
+MAX_NAME_INDEX = 100_000
+
+
+def _too_big(digits: str) -> bool:
+    """Whether a name's integer exceeds MAX_NAME_INDEX, judged by its length
+    first, so that a huge one is never converted."""
+    digits = digits.lstrip("0")
+    return len(digits) > len(str(MAX_NAME_INDEX)) or int(digits or 0) > MAX_NAME_INDEX
+
+
 def series_by_name(name: str, order: int) -> S.Series:
-    """Resolve a canonical series name (the CLI's grammar) to a Series."""
+    """Resolve a canonical series name (the CLI's grammar) to a Series.
+
+    Raises KeyError for a name outside the grammar, and ValueError, before
+    anything is built, for one whose integers exceed MAX_NAME_INDEX.
+    """
     fixed = {
         "P": lambda: eisenstein(1, order),
         "Q": lambda: eisenstein(2, order),
@@ -226,27 +244,26 @@ def series_by_name(name: str, order: int) -> S.Series:
         return fixed[name]()
     if name.startswith("hahn") and len(name) == 5:
         return hahn(name[4], order)
-    m = _EIS_NAME.match(name)
-    if m:
+    m = next(filter(None, (p.match(name) for p in _NUMBERED_NAMES)), None)
+    if m is None:
+        raise KeyError(f"unknown series name {name!r}")
+    if any(_too_big(g) for g in m.groups() if g and g.isdigit()):
+        raise ValueError(f"series name {name!r}: an index above {MAX_NAME_INDEX}")
+    if m.re is _EIS_NAME:
         w = int(m.group(1))
         if w < 2 or w % 2:
             raise KeyError(f"series name {name!r}: Eisenstein weight must be even >= 2")
         return eisenstein(w // 2, order)
+    if m.re is _PHI_NAME:
+        variant = "tilde" if m.group(1) else "plain"
+        return phi_series(variant, int(m.group(2)), int(m.group(3)), order)
     # a ValueError from family or theta_f (odd T index, zero theta exponent)
     # means the NAME is invalid
     try:
-        m = _FAMILY_NAME.match(name)
-        if m:
+        if m.re is _FAMILY_NAME:
             return family(m.group(1), int(m.group(2)), order)
-        m = _THETA_NAME.match(name)
-        if m:
-            sa = 1 if m.group(1) == "p" else -1
-            sb = 1 if m.group(3) == "p" else -1
-            return theta_f(sa, int(m.group(2)), sb, int(m.group(4)), order)
+        sa = 1 if m.group(1) == "p" else -1
+        sb = 1 if m.group(3) == "p" else -1
+        return theta_f(sa, int(m.group(2)), sb, int(m.group(4)), order)
     except ValueError as e:
         raise KeyError(f"series name {name!r}: {e}") from None
-    m = _PHI_NAME.match(name)
-    if m:
-        variant = "tilde" if m.group(1) else "plain"
-        return phi_series(variant, int(m.group(2)), int(m.group(3)), order)
-    raise KeyError(f"unknown series name {name!r}")

@@ -521,8 +521,8 @@ def _numeric_identities() -> list[Identity]:
 _REGISTRY: Optional[dict[str, Identity]] = None
 
 
-def registry() -> list[Identity]:
-    """All identities, in deterministic (sorted-by-id) order."""
+def _by_id() -> dict[str, Identity]:
+    """The registry by id, sorted, built on first use."""
     global _REGISTRY
     if _REGISTRY is None:
         entries = _series_identities() + _convolution_identities() + _numeric_identities()
@@ -532,13 +532,16 @@ def registry() -> list[Identity]:
                 raise RuntimeError(f"duplicate identity id {e.id}")
             byid[e.id] = e
         _REGISTRY = dict(sorted(byid.items()))
-    return list(_REGISTRY.values())
+    return _REGISTRY
+
+
+def registry() -> list[Identity]:
+    """All identities, in deterministic (sorted-by-id) order."""
+    return list(_by_id().values())
 
 
 def lookup(id_: str) -> Optional[Identity]:
-    registry()
-    assert _REGISTRY is not None
-    return _REGISTRY.get(id_)
+    return _by_id().get(id_)
 
 
 def _compare(ident: Identity, order: int) -> VerifyReport:

@@ -9,27 +9,29 @@ Each special value pairs two fully independent computations:
                  obtained from the arithmetic-geometric mean, not from a
                  library gamma function.
 
+All arithmetic is on Python ints in fixed point: an int v "at scale 2^-w"
+stands for v 2^-w, and an ulp is 2^-w. The pieces are pi by the Chudnovsky
+series with binary splitting, exp by halving and squaring, square roots from
+math.isqrt, n-th roots by Newton's method, and the AGM (Brent, JACM 23,
+1976).
+
 Every defining sum is a weighted Lambert sum or a theta sum f(x^u, x^v), each
-with a proved tail bound (_lambert, _theta). check_special makes one pass:
-from log2|x|, computed once at low precision, it picks the first index N at
-which |c1| times the tail bound is below 2^-(precision+16), works 64 bits
-below that bound, and sums terms 1..N-1 once: a Lambert sum in integer fixed
-point with a proved rounding bound (_lambert_sum), a theta sum in mpf. The
-reported error is thus the genuine truncation residual: provably below
-2^-(precision+16), far above arithmetic noise, and shrinking as the requested
-precision grows. A zero target's series value is that residual, printed with
-the 8 digits of abs_err.
+with a proved tail bound (_lambert, _theta) and a proved rounding bound
+(_lambert_sum, _theta_sum). check_special makes one pass: from log2|x|,
+computed once at low precision, it picks the first index N at which |c1|
+times the tail bound is below 2^-(precision+16), works at a scale 64 bits
+below that bound, and sums terms 1..N-1 once. The reported error is thus the
+genuine truncation residual: provably below 2^-(precision+16), far above
+arithmetic noise, and shrinking as the requested precision grows. A zero
+target's series value is that residual, printed with the 8 digits of abs_err.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import merge
-from itertools import count
+from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, Optional
-
-from mpmath import mp
-from mpmath.libmp import to_fixed
 
 from .divisors import DivisorKind, boundary_value
 from .record import Record
@@ -44,21 +46,261 @@ _PASS_MARGIN = 32
 # below this the pass gate 2^-(precision - _PASS_MARGIN) accepts errors of
 # 2^-32 and more, so a pass would say nothing about the closed form
 MIN_PRECISION = 2 * _PASS_MARGIN
+# closed forms are evaluated this many bits below the scale they return
+_CLOSED_GUARD = 32
+# values are printed from copies rounded to this many bits (see _nstr)
+_PRINT_BITS = 256
 
 
 # ---------------------------------------------------------------------------
-# constants via AGM
+# fixed-point primitives
 
 
-def gamma_quarter():
-    """Gamma(1/4) from Gamma(1/4)^2 = (2 pi)^{3/2} / agm(sqrt 2, 1)."""
-    two_pi = 2 * mp.pi
-    return mp.sqrt(two_pi * mp.sqrt(two_pi) / mp.agm(mp.sqrt(2), 1))
+def _pi(w: int) -> int:
+    """pi at scale 2^-w, within 2 ulps: the Chudnovsky series (1988), about
+    47 bits a term, summed by binary splitting."""
+
+    def split(a, b):
+        if b - a == 1:
+            if a == 0:
+                return 1, 1, 13591409
+            p = -(6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            return p, a * a * a * 10939058860032000, p * (13591409 + 545140134 * a)
+        m = (a + b) // 2
+        p1, q1, t1 = split(a, m)
+        p2, q2, t2 = split(m, b)
+        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+    _, q, t = split(0, w // 47 + 2)
+    return 426880 * math.isqrt(10005 << 2 * w) * q // t
 
 
-def gamma_three_quarters():
-    """Gamma(3/4) by reflection: Gamma(1/4) Gamma(3/4) = pi sqrt(2)."""
-    return mp.pi * mp.sqrt(2) / gamma_quarter()
+def _exp(x: int, w: int) -> int:
+    """e^(x 2^-w) at scale 2^-w, within 2 ulps.
+
+    k halvings bring the argument below 2^-m, m = cbrt(w), so that the
+    Taylor series needs about T = w/m terms; k squarings undo them. Smith's
+    method sums the series as J ~ sqrt(T) interleaved series, the j-th
+    holding the terms r^i/i! with i = j mod J and the factor r^j taken out,
+    at one long product per J terms. Each squaring at most doubles the error
+    carried, times e^x overall, so the series runs k + 32 bits (and 2 per
+    unit of x > 0) below the result.
+    """
+    m = round(w ** (1 / 3))
+    k = m + max(x.bit_length() - w, 0)
+    g = w + k + 32 + 2 * max(x >> w, 0)
+    r = abs(x) << (g - w - k)  # |x| 2^-k at scale 2^-g
+    n = 2 * (math.isqrt(g // m) // 2 + 1)  # J, even: r^j's sign goes by j
+    powers = [1 << g]
+    for _ in range(n):
+        powers.append(powers[-1] * r >> g)
+    sums = [0] * n
+    a, i = 1 << g, 0  # a = r^(i - i mod J) / i!
+    while a:
+        sums[i % n] += a
+        i += 1
+        a //= i
+        if i % n == 0:
+            a = a * powers[n] >> g
+    y = sum((-s if x < 0 and j % 2 else s) * powers[j] for j, s in enumerate(sums)) >> g
+    for _ in range(k):
+        y = y * y >> g
+    return y >> (g - w)
+
+
+def _iroot(a: int, n: int) -> int:
+    """floor(a^(1/n)) for an int a >= 0, by Newton's method from above,
+    started from the root of a's leading half."""
+    if n == 1 or a < 2:
+        return a
+    k = a.bit_length() // (2 * n)
+    x = _iroot(a >> n * k, n) + 1 << k if k else 1 << -(-a.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
+def _root(v: int, n: int, w: int) -> int:
+    """(v 2^-w)^(1/n) at scale 2^-w, rounded down, for v >= 0: square roots
+    for the factors 2 of n, then one odd root, all on the one int
+    v 2^((n-1)w), as floor(f(floor(y))) = floor(f(y)) for these roots."""
+    a = v << (n - 1) * w
+    while n % 2 == 0:
+        a, n = math.isqrt(a), n // 2
+    return _iroot(a, n)
+
+
+def _agm(a: int, b: int) -> int:
+    """The arithmetic-geometric mean of a, b > 0 at their common scale,
+    within 2 ulps: the steps run 16 bits further down, where the error each
+    adds stays far below 2^16 of their ulps."""
+    a, b = a << 16, b << 16
+    while abs(a - b) > 1:
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+    return a >> 16
+
+
+def _atanh(t: int, w: int) -> int:
+    """atanh(t 2^-w) at scale 2^-w for 0 <= t 2^-w <= 1/3, by its Taylor
+    series, within one ulp a term."""
+    t2 = t * t >> w
+    total, p = 0, t
+    for j in count(1, 2):
+        if not p:
+            return total
+        total += p // j
+        p = p * t2 >> w
+
+
+def _log2(point: Callable[[int], int]) -> float:
+    """log2|x| for x = point(w), 0 < |x| < 1, as the float nearest a 160-bit
+    value computed from 128 or more significant bits of x: the 64-bit
+    log2|x| that Route.stop reads.
+
+    With x = m 2^e and 1 <= m < 2, log2|x| = e + ln(m) / ln(2), and
+    ln(m) = 2 atanh((m - 1)/(m + 1)), ln(2) = 2 atanh(1/3).
+    """
+    w = 128
+    while (x := abs(point(w))).bit_length() < 128:
+        w = w + 128 - x.bit_length() if x else 2 * w
+    p = 160
+    one = 1 << p
+    b = x.bit_length() - 1
+    m = x << p >> b
+    ln_m = 2 * _atanh(((m - one) << p) // (m + one), p)
+    ln2 = 2 * _atanh(one // 3, p)
+    return math.ldexp(float(((b - w) << p) + (ln_m << p) // ln2), -p)
+
+
+def gamma_quarter(w: int) -> int:
+    """Gamma(1/4) at scale 2^-w, from Gamma(1/4)^2 = (2 pi)^{3/2} / agm(sqrt 2, 1)."""
+    g = w + 16
+    two_pi = _pi(g) << 1
+    agm = _agm(_root(2 << g, 2, g), 1 << g)
+    return _root(two_pi * _root(two_pi, 2, g) // agm, 2, g) >> 16
+
+
+def gamma_three_quarters(w: int) -> int:
+    """Gamma(3/4) at scale 2^-w, by reflection: Gamma(1/4) Gamma(3/4) = pi sqrt(2)."""
+    g = w + 16
+    return _pi(g) * _root(2 << g, 2, g) // gamma_quarter(g) >> 16
+
+
+# ---------------------------------------------------------------------------
+# printing: the reports' decimal strings
+
+
+def _trim(man: int, exp: int, prec: int, up: bool = False) -> tuple[int, int]:
+    """man 2^exp, man > 0, cut to prec bits: toward zero, or away from zero
+    when up."""
+    cut = man.bit_length() - prec
+    if cut <= 0:
+        return man, exp
+    return (man >> cut) + (up and man & ((1 << cut) - 1) > 0), exp + cut
+
+
+def _div(a: int, ea: int, b: int, eb: int, prec: int, up: bool = False) -> tuple[int, int]:
+    """(a 2^ea) / (b 2^eb), a, b > 0, cut to prec bits as _trim does: the
+    quotient keeps at least prec + 1 bits and a sticky bit for the remainder."""
+    k = max(prec + b.bit_length() - a.bit_length() + 2, 0)
+    q, rem = divmod(a << k, b)
+    return _trim(2 * q + (rem > 0), ea - eb - k - 1, prec, up)
+
+
+def _pow10(n: int, prec: int, up: bool) -> tuple[int, int]:
+    """10^n cut to prec bits for n >= 334, as _digits' source cuts it:
+    binary powering with every product cut to prec + 4 bitlen(n) + 4 bits,
+    then to prec, all toward zero or all away from it."""
+    wp = prec + 4 * n.bit_length() + 4
+    man, exp, pm, pe = 5, 1, 1, 0
+    while True:
+        if n & 1:
+            pm, pe = _trim(pm * man, pe + exp, wp, up)
+            n -= 1
+            if not n:
+                return _trim(pm, pe, prec, up)
+        man, exp = _trim(man * man, 2 * exp, wp, up)
+        n //= 2
+
+
+def _ln2_ln10(p: int) -> tuple[int, int]:
+    """ln 2 and ln 10 cut to p bits toward zero: their mantissas, at scales
+    2^-p and 2^-(p-2)."""
+    w = p + 32
+    one = 1 << w
+    ln2 = 2 * _atanh(one // 3, w)
+    ln10 = 3 * ln2 + 2 * _atanh(one // 9, w)
+    return ln2 >> 32, ln10 >> 34
+
+
+def _digits(man: int, exp: int, dps: int) -> tuple[str, int]:
+    """The first decimal digits of man 2^exp < 2^3500, man > 0 odd, rounded
+    down, and the decimal exponent of the first: bitprec = dps log2(10) + 10
+    bits of the value in fixed point, times 10^fixdps.
+
+    Below 2^-3500, the value is first divided by 10^b, with
+    b = int(exp ln2 / ln10) from ln2 and ln10 cut to bitlen(exp) + 5 bits:
+    10^b is 1 over 10^-b cut up to bitprec + 5 bits, and it and the quotient
+    are cut to bitprec bits toward zero.
+    """
+    bitprec = int(dps * math.log(10, 2)) + 10
+    e10 = 0
+    if exp + man.bit_length() < -3500:
+        l2, l10 = _ln2_ln10((-exp).bit_length() + 5)
+        e10 = -(-exp * l2 // (4 * l10))
+        ten = _div(1, 0, *_pow10(-e10, bitprec + 5, True), bitprec)
+        man, exp = _div(man, exp, *ten, bitprec)
+    fixprec = max(bitprec - exp - man.bit_length(), 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = str(fixed * 10**fixdps >> fixprec)
+    return digits, e10 + len(digits) - fixdps - 1
+
+
+def _nstr(man: int, exp: int, n: int) -> str:
+    """man 2^exp printed with n significant digits, as the reports have
+    always printed their values.
+
+    The value is rounded to the nearest 256-bit float (ties to even); its
+    first n + 3 digits are taken rounded down (_digits) and cut to n, the
+    n-th rounded half up; the digits are laid out in fixed notation for a
+    decimal exponent between min(-n/3, -5) and n, else as d.ddd e+-x, with
+    trailing zeros dropped. This is, step for step, the printing routine of
+    the arbitrary-precision library the reports were first made with, which
+    tests/test_numeric.py keeps as the oracle.
+    """
+    if not man:
+        return "0.0"
+    sign = "-" if man < 0 else ""
+    man = abs(man)
+    cut = man.bit_length() - _PRINT_BITS
+    if cut > 0:
+        rest = man & ((1 << cut) - 1)
+        man, exp = man >> cut, exp + cut
+        half = 1 << (cut - 1)
+        man += rest > half or (rest == half and man & 1)
+    zeros = (man & -man).bit_length() - 1
+    digits, e10 = _digits(man >> zeros, exp + zeros, n + 3)
+    if len(digits) > n and digits[n] in "56789":
+        digits = str(int(digits[:n]) + 1)
+        if len(digits) > n:  # 99...9 rounded up to 10...0
+            digits, e10 = digits[:n], e10 + 1
+    else:
+        digits = digits[:n]
+    split = 1
+    if min(-(n // 3), -5) < e10 < n:
+        if e10 < 0:
+            digits = "0" * -e10 + digits
+        else:
+            split = e10 + 1
+        e10 = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    return sign + digits + (f"e{e10:+d}" if e10 else "")
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +308,20 @@ def gamma_three_quarters():
 
 
 class Route(Record):
-    """c0 + c1 * (t_1 + t_2 + ...) at x = point().
+    """c0 + c1 * (t_1 + t_2 + ...) at x = point(w).
 
-    point and partial run inside workprec; partial(x, n) is t_1 + ... + t_n at
-    x. log2_tail(l, k) is log2 of a proved bound on sum_{j>=k} |t_j| whenever
-    log2|x| <= l (inf where none holds).
+    point(w) is x at scale 2^-w. partial(point, n, wp) is t_1 + ... + t_n at
+    x = point, at scale 2^-wp, within 2 ulps for the points here (see
+    _lambert_sum and _theta_sum). log2_tail(l, k) is log2 of a proved bound
+    on sum_{j>=k} |t_j| whenever log2|x| <= l (inf where none holds).
     """
 
     __slots__ = _fields = ("point", "partial", "log2_tail", "c0", "c1")
 
     def __init__(
         self,
-        point: Callable,
-        partial: Callable,
+        point: Callable[[int], int],
+        partial: Callable[[Callable[[int], int], int, int], int],
         log2_tail: Callable[[float, int], float],
         c0: int = 1,
         c1: int = 1,
@@ -113,8 +356,9 @@ def _lambert(kind: DivisorKind, r: int, s: int, point, c0=1, c1=1) -> Route:
     """
     a = _A[r]
 
-    def partial(x, n):
-        return _lambert_sum(kind, r, s, x, n)
+    def partial(point, n, wp):
+        w = wp + (s + 1) * n.bit_length() + 8
+        return _lambert_sum(kind, r, s, point(w), n, w) >> (w - wp)
 
     def log2_tail(log2_x, k):
         u = 2.0**log2_x
@@ -133,31 +377,30 @@ def _unit_lambert(kind: DivisorKind, s: int, point) -> Route:
     return _lambert(kind, 0, s, point, c1=int(1 / boundary_value(kind, s)))
 
 
-def _lambert_sum(kind: DivisorKind, r: int, s: int, x, n: int):
-    """The first n terms sgn(d) d^s A(x^d) of _lambert, in one fixed-point pass.
+def _lambert_sum(kind: DivisorKind, r: int, s: int, x: int, n: int, w: int) -> int:
+    """The first n terms sgn(d) d^s A(x^d) of _lambert at x 2^-w, in one
+    fixed-point pass, at scale 2^-w; _lambert's partial takes
+    w = wp + (s+1) ceil(log2 N) + 8 for N = n + 1 and rounds the sum down to
+    scale 2^-wp.
 
-    Every quantity is an integer multiple of u = 2^-W, rounded down, with
-    W = wp + (s+1) ceil(log2 N) + 8 for wp = mp.prec and N = n + 1: x, then
-    x^d by repeated multiplication by x, then for y = +-x^d one division
+    Every quantity is an integer multiple of u = 2^-w, rounded down: x^d by
+    repeated multiplication by x, then for y = +-x^d one division
     a = y/(1-y), A_0 = a, A_1 = a(1+a) and A_2 = A_1(1+2a). d^s and the
-    signs are exact, and the integer sum is rounded once to wp bits.
+    signs are exact.
 
     Rounding bound, for nu = 1/(1 - |x| - u) > 0 and 3 nu^2 u <= 1: Y u is
     within 2 nu u of x^d (each step adds at most 2u and scales the error by
     at most |x| + u); |da/dy| <= nu^2 puts a within 3 nu^3 u of its exact
     value; |1+a| <= nu, |1+2a| <= 2 nu and |A_1| <= nu^2 then put A_r within
-    c_r nu^(r+3) ulps (units of u), c = (3, 10, 47). As sum_{d<=n} d^s <=
-    N^(s+1) <= 2^((s+1) ceil(log2 N)), the integer sum is within
-    c_r nu^(r+3) N^(s+1) ulps of the exact sum at x, which is
-    c_r nu^(r+3) 2^-(wp+8): below 2^-wp while c_r nu^(r+3) < 256, as for
-    every |x| <= e^-pi (nu < 1.05).
+    c_r nu^(r+3) ulps, c = (3, 10, 47). As sum_{d<=n} d^s <= N^(s+1) <=
+    2^((s+1) ceil(log2 N)), the integer sum is within c_r nu^(r+3) N^(s+1)
+    ulps of the exact sum at x, which is c_r nu^(r+3) 2^-(wp+8): below
+    2^-wp while c_r nu^(r+3) < 256, as for every |x| <= e^-pi (nu < 1.05).
     """
-    w = mp.prec + (s + 1) * n.bit_length() + 8
     one = 1 << w
-    xw = to_fixed(mp.mpf(x)._mpf_, w)
     total, y = 0, one
     for d in range(1, n + 1):
-        y = (y * xw) >> w
+        y = (y * x) >> w
         v = -y if kind is HAT else y
         a = (v << w) // (one - v)
         big_a = a if r == 0 else (a * (one + a)) >> w
@@ -165,7 +408,22 @@ def _lambert_sum(kind: DivisorKind, r: int, s: int, x, n: int):
             big_a = (big_a * (one + 2 * a)) >> w
         t = d**s * big_a
         total += -t if kind is HAT or (kind is TILDE and d % 2 == 0) else t
-    return mp.mpf((total, -w))
+    return total
+
+
+def _theta_terms(u: int, v: int):
+    """The terms k != 0 of _theta(u, v) in increasing order of exponent, as
+    (side, e(k)): side 0 for k >= 1 and 1 for k <= -1, side 0 first on ties.
+
+    Side 0 steps from e(k-1) to e(k) by u k + v (k-1), each step u + v more
+    than the one before; side 1 likewise with u and v swapped.
+    """
+    nxt, step = [u, v], [u, v]
+    while True:
+        side = 0 if nxt[0] <= nxt[1] else 1
+        yield side, nxt[side]
+        step[side] += u + v
+        nxt[side] += step[side]
 
 
 def _theta(u: int, v: int, point) -> Route:
@@ -177,25 +435,109 @@ def _theta(u: int, v: int, point) -> Route:
     exponents left from the k-th term e_k on are, on each side, distinct
     integers >= e_k: the tail bound is 2 |x|^e_k / (1 - |x|).
     """
+    terms = _theta_terms(u, v)
+    known: list[int] = []  # the exponents so far: e_k is known[k - 1]
 
-    def expo(k):
-        return u * k * (k + 1) // 2 + v * k * (k - 1) // 2
-
-    merged = merge((expo(k) for k in count(1)), (expo(-k) for k in count(1)))
-    known: list[int] = []  # merged's exponents so far: e_k is known[k - 1]
-
-    def exponent(k):
-        while len(known) < k:
-            known.append(next(merged))
-        return known[k - 1]
-
-    def partial(x, n):
-        return sum((x ** exponent(k) for k in range(1, n + 1)), mp.mpf(0))
+    def partial(point, n, wp):
+        w = wp + 3 * n.bit_length() + 8
+        return _theta_sum(u, v, point(w), n, w) >> (w - wp)
 
     def log2_tail(log2_x, k):
-        return 1 + exponent(k) * log2_x - math.log2(1 - 2.0**log2_x)
+        while len(known) < k:
+            known.append(next(terms)[1])
+        return 1 + known[k - 1] * log2_x - math.log2(1 - 2.0**log2_x)
 
     return Route(point, partial, log2_tail)
+
+
+def _theta_sum(u: int, v: int, x: int, n: int, w: int) -> int:
+    """The first n terms x^e_k of _theta(u, v) at x 2^-w, at scale 2^-w;
+    _theta's partial takes w = wp + 3 bitlen(n) + 8 and rounds the sum down
+    to scale 2^-wp.
+
+    Each side steps its power by the ratio x^(e(k) - e(k-1)) of
+    _theta_terms, and each ratio is the one before times x^(u+v), so a term
+    costs two products.
+
+    Rounding bound, for |x| < 1: every value is then below 1 in size, every
+    product is rounded down once, and an error times a value below 1 in size
+    does not grow. So x^j, by j - 1 products, is within j - 1 ulps; the k-th
+    ratio of a side within k(u+v) ulps; the side's k-th power within
+    sum_{j<=k} (j(u+v) + 1) <= (u+v+1) k^2 ulps; and the n-term sum, at most
+    n terms a side, within 2(u+v+1) n^3 ulps. For u + v <= 6 that is below
+    2^(3 bitlen(n) + 4) ulps, so partial's sum is within 2^-(wp+4) of the
+    exact sum at x before its final rounding.
+    """
+
+    def power(j):
+        p = x
+        for _ in range(j - 1):
+            p = p * x >> w
+        return p
+
+    step = power(u + v)
+    powers, ratios = [1 << w, 1 << w], [power(u), power(v)]
+    total = 0
+    for side, _ in islice(_theta_terms(u, v), n):
+        powers[side] = powers[side] * ratios[side] >> w
+        ratios[side] = ratios[side] * step >> w
+        total += powers[side]
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the closed forms
+
+
+# each base at scale 2^-w, within 50 ulps (e^pi: pi's 2 ulps times e^pi),
+# far inside _CLOSED_GUARD; the radicals as sums of k^(1/n)
+_BASES: dict[str, Callable[[int], int]] = {
+    "two": lambda w: 2 << w,
+    "three": lambda w: 3 << w,
+    "pi": _pi,
+    "gamma": gamma_three_quarters,  # Gamma(3/4)
+    "e_pi": lambda w: _exp(_pi(w), w),
+    # 1 + sqrt3 + sqrt2 3^(1/4)
+    "a": lambda w: (1 << w) + _root(3 << w, 2, w) + _root(12 << w, 4, w),
+    # 2 sqrt3 - 3
+    "b": lambda w: _root(12 << w, 2, w) - (3 << w),
+    # 1 + sqrt3 + sqrt2 3^(3/4)
+    "c": lambda w: (1 << w) + _root(3 << w, 2, w) + _root(108 << w, 4, w),
+    # 2 + sqrt3 + (sqrt2 + sqrt6)/2 3^(3/4) = 2 + sqrt3 + (27/4)^(1/4) + (243/4)^(1/4)
+    "d": lambda w: (2 << w) + _root(3 << w, 2, w) + _root(27 << w - 2, 4, w)
+    + _root(243 << w - 2, 4, w),
+    "rt3p1": lambda w: (1 << w) + _root(3 << w, 2, w),  # 1 + sqrt3
+}
+
+
+def _closed(coeff, **powers) -> Callable[[int], int]:
+    """coeff * prod base^power over the named _BASES, as a function of w
+    returning the value at scale 2^-w.
+
+    Each power n/d is the base's d-th root raised to |n|, multiplied into a
+    numerator or a denominator, and the quotient is taken once. All of it
+    runs _CLOSED_GUARD bits below the result: with bases of size 1/4 to 32
+    and |n| <= 16, the products' errors stay far inside those bits.
+    """
+    coeff = Fraction(coeff)
+    factors = [(_BASES[name], Fraction(p)) for name, p in powers.items()]
+
+    def closed(w: int) -> int:
+        g = w + _CLOSED_GUARD
+        num, den = coeff.numerator << g, coeff.denominator << g
+        for base, p in factors:
+            k = abs(p.numerator)
+            f = _root(base(g), p.denominator, g) ** k >> (k - 1) * g
+            if p > 0:
+                num = num * f >> g
+            else:
+                den = den * f >> g
+        return (num << w) // den
+
+    return closed
+
+
+_PREF = {"pi": "1/4", "gamma": -1}  # pi^(1/4) / Gamma(3/4)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +553,7 @@ class SpecialValue(Record):
         statement: str,
         source: str,
         route: Route,
-        closed: Callable,  # () -> mpf, inside workprec
+        closed: Callable[[int], int],  # w -> the closed form at scale 2^-w
         zero_target: bool = False,  # compare absolutely when the target is 0
         note: Optional[str] = None,
     ):
@@ -220,20 +562,9 @@ class SpecialValue(Record):
             object.__setattr__(self, name, value)
 
 
-def _x_neg_pi():
-    return -mp.exp(-mp.pi)
-
-
-def _radical_parts():
-    rt2, rt3 = mp.sqrt(2), mp.sqrt(3)
-    q14 = mp.root(3, 4)
-    pref = mp.root(mp.pi, 4) / gamma_three_quarters()
-    return rt2, rt3, q14, q14**3, pref
-
-
-def _p(base, num, den):
-    """base^(num/den) for base > 0, by an integer root rather than log and exp."""
-    return mp.root(base, den) ** num
+def _point(k: int, sign: int = 1) -> Callable[[int], int]:
+    """x = sign e^(-k pi) at scale 2^-w, as a function of w."""
+    return lambda w: sign * _exp(-k * _pi(w), w)
 
 
 def _specials() -> dict[str, SpecialValue]:
@@ -242,35 +573,37 @@ def _specials() -> dict[str, SpecialValue]:
     def add(*fields, **named):
         out.append(SpecialValue(*fields, **named))
 
+    x_neg_pi = _point(1, -1)
+
     # signed Eisenstein values at q = -e^{-pi}
     add(
         "hahn.P",
         "P~(-e^{-pi}) = 2/pi",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(TILDE, 1, _x_neg_pi),
-        lambda: 2 / mp.pi,
+        _unit_lambert(TILDE, 1, x_neg_pi),
+        _closed(2, pi=-1),
     )
     add(
         "hahn.E",
         "E~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(HAT, 1, _x_neg_pi),
-        lambda: mp.mpf(0),
+        _unit_lambert(HAT, 1, x_neg_pi),
+        _closed(0),
         zero_target=True,
     )
     add(
         "hahn.Q",
         "Q~(-e^{-pi}) = pi^2 / Gamma(3/4)^8",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(TILDE, 3, _x_neg_pi),
-        lambda: mp.pi**2 / gamma_three_quarters() ** 8,
+        _unit_lambert(TILDE, 3, x_neg_pi),
+        _closed(1, pi=2, gamma=-8),
     )
     add(
         "hahn.R",
         "R~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(TILDE, 5, _x_neg_pi),
-        lambda: mp.mpf(0),
+        _unit_lambert(TILDE, 5, x_neg_pi),
+        _closed(0),
         zero_target=True,
     )
 
@@ -279,15 +612,15 @@ def _specials() -> dict[str, SpecialValue]:
         "classical.Q_2pi",
         "Q(e^{-2pi}) = 3 pi^2 / (4 Gamma(3/4)^8)",
         "Ramanujan; Berndt, Notebooks (values at e^{-2pi})",
-        _unit_lambert(PLAIN, 3, lambda: mp.exp(-2 * mp.pi)),
-        lambda: 3 * mp.pi**2 / (4 * gamma_three_quarters() ** 8),
+        _unit_lambert(PLAIN, 3, _point(2)),
+        _closed("3/4", pi=2, gamma=-8),
     )
     add(
         "classical.Q_neg_pi",
         "Q(-e^{-pi}) = -3 pi^2 / Gamma(3/4)^8",
         "Ramanujan; Berndt, Notebooks (companion value at -e^{-pi})",
-        _unit_lambert(PLAIN, 3, _x_neg_pi),
-        lambda: -3 * mp.pi**2 / gamma_three_quarters() ** 8,
+        _unit_lambert(PLAIN, 3, x_neg_pi),
+        _closed(-3, pi=2, gamma=-8),
         note=(
             "equals -4 Q(e^{-2pi}); printed chains sometimes end with the "
             "e^{-2pi} value itself, a transcription slip"
@@ -295,19 +628,17 @@ def _specials() -> dict[str, SpecialValue]:
     )
 
     # weighted signed Lambert sums at q = -e^{-pi}
+    quarter_over_pi = _closed("1/4", pi=-1)
     phi_cases = [
         ("ct5.phi01", 0, 1, "Phi~_{0,1}(-e^{-pi}) = 1/(4 pi) - 1/8",
-         lambda: 1 / (4 * mp.pi) - mp.mpf(1) / 8, None),
-        ("ct5.phi05", 0, 5, "Phi~_{0,5}(-e^{-pi}) = -1/8",
-         lambda: -mp.mpf(1) / 8, None),
+         lambda w: quarter_over_pi(w) - (1 << w >> 3), None),
+        ("ct5.phi05", 0, 5, "Phi~_{0,5}(-e^{-pi}) = -1/8", _closed("-1/8"), None),
         ("ct5.phi16", 1, 6, "Phi~_{1,6}(-e^{-pi}) = -pi^4 / (16 Gamma(3/4)^16)",
-         lambda: -mp.pi**4 / (16 * gamma_three_quarters() ** 16), None),
+         _closed("-1/16", pi=4, gamma=-16), None),
         ("ct5.phi27", 2, 7, "Phi~_{2,7}(-e^{-pi}) = -7 pi^3 / (16 Gamma(3/4)^16)",
-         lambda: -7 * mp.pi**3 / (16 * gamma_three_quarters() ** 16), None),
-        ("ct5b.phi09", 0, 9, "Phi~_{0,9}(-e^{-pi}) = -31/8",
-         lambda: -mp.mpf(31) / 8, None),
-        ("ct5b.phi013", 0, 13, "Phi~_{0,13}(-e^{-pi}) = -5461/8",
-         lambda: -mp.mpf(5461) / 8,
+         _closed("-7/16", pi=3, gamma=-16), None),
+        ("ct5b.phi09", 0, 9, "Phi~_{0,9}(-e^{-pi}) = -31/8", _closed("-31/8"), None),
+        ("ct5b.phi013", 0, 13, "Phi~_{0,13}(-e^{-pi}) = -5461/8", _closed("-5461/8"),
          "the value is negative; a positive rendering seen in print is a slip"),
     ]
     for id_, r_, s_, stmt, closed, note in phi_cases:
@@ -315,127 +646,66 @@ def _specials() -> dict[str, SpecialValue]:
             id_,
             stmt,
             "signed weighted Lambert sums at q = -e^{-pi}",
-            _lambert(TILDE, r_, s_, _x_neg_pi, c0=0),
+            _lambert(TILDE, r_, s_, x_neg_pi, c0=0),
             closed,
             note=note,
         )
 
     # psi values: psi(x) = sum_{k>=0} x^{k(k+1)/2} = f(x, x^3)
-    def psi3pi_closed():
-        rt2, rt3, q14, _, pref = _radical_parts()
-        return _p(2, -1, 8) * _p(3, -3, 8) * mp.exp(3 * mp.pi / 8) * _p(
-            1 + rt2 * q14 + rt3, -1, 2
-        ) * pref
-
-    def psi3pi_neg_closed():
-        rt2, rt3, _, _, pref = _radical_parts()
-        return _p(2, -3, 4) * _p(3, -1, 2) * mp.exp(3 * mp.pi / 8) * _p(
-            2 * rt3 - 3, 1, 4
-        ) * pref
-
-    def psi6pi_closed():
-        rt2, rt3, _, q34, pref = _radical_parts()
-        return (
-            mp.exp(3 * mp.pi / 4)
-            / (_p(3, 3, 8) * _p(rt3 + 1, 5, 6) * _p(1 + rt3 + rt2 * q34, 2, 3))
-            * pref
-        )
-
+    theta_source = "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)"
     add(
         "l2.psi3pi",
         "psi(e^{-3pi}) = 2^{-1/8} 3^{-3/8} e^{3pi/8} (1 + sqrt2 3^{1/4} + sqrt3)^{-1/2} pi^{1/4}/Gamma(3/4)",
-        "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(1, 3, lambda: mp.exp(-3 * mp.pi)),
-        psi3pi_closed,
+        theta_source,
+        _theta(1, 3, _point(3)),
+        _closed(1, two="-1/8", three="-3/8", e_pi="3/8", a="-1/2", **_PREF),
     )
     add(
         "l2.psi3pi_neg",
         "psi(-e^{-3pi}) = 2^{-3/4} 3^{-1/2} e^{3pi/8} (2 sqrt3 - 3)^{1/4} pi^{1/4}/Gamma(3/4)",
-        "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(1, 3, lambda: -mp.exp(-3 * mp.pi)),
-        psi3pi_neg_closed,
+        theta_source,
+        _theta(1, 3, _point(3, -1)),
+        _closed(1, two="-3/4", three="-1/2", e_pi="3/8", b="1/4", **_PREF),
     )
     add(
         "l3.psi6pi",
         "psi(e^{-6pi}) = e^{3pi/4} 3^{-3/8} (sqrt3+1)^{-5/6} (1+sqrt3+sqrt2 3^{3/4})^{-2/3} pi^{1/4}/Gamma(3/4)",
-        "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(1, 3, lambda: mp.exp(-6 * mp.pi)),
-        psi6pi_closed,
+        theta_source,
+        _theta(1, 3, _point(6)),
+        _closed(1, e_pi="3/4", three="-3/8", rt3p1="-5/6", c="-2/3", **_PREF),
     )
 
     # eps values: eps(x) = sum_{k in Z} x^{k(3k+1)/2} = f(x, x^2)
-    def eps_plus_closed():
-        rt2, rt3, q14, q34, pref = _radical_parts()
-        return (
-            _p(2, -9, 8)
-            * _p(3, -3, 8)
-            * mp.exp(mp.pi / 24)
-            * (1 + rt3 + rt2 * q34)
-            * _p(1 + rt3 + rt2 * q14, -1, 2)
-            * pref
-        )
-
-    def eps_minus_closed():
-        rt2, rt3, _, _, pref = _radical_parts()
-        return (
-            _p(2, -3, 4)
-            * _p(3, -1, 2)
-            * mp.exp(mp.pi / 24)
-            * (1 + rt3)
-            * _p(2 * rt3 - 3, 1, 4)
-            * pref
-        )
-
-    def eps_2pi_closed():
-        rt2, rt3, _, q34, pref = _radical_parts()
-        return (
-            mp.exp(mp.pi / 12)
-            * (2 + rt3 + (rt2 + mp.sqrt(6)) / 2 * q34)
-            / (_p(3, 3, 8) * _p(rt3 + 1, 5, 6) * _p(1 + rt3 + rt2 * q34, 2, 3))
-            * pref
-        )
-
     add(
         "t6.eps_plus",
         "eps(e^{-pi}) = 2^{-9/8} 3^{-3/8} e^{pi/24} (1+sqrt3+sqrt2 3^{3/4}) (1+sqrt3+sqrt2 3^{1/4})^{-1/2} pi^{1/4}/Gamma(3/4)",
-        "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(1, 2, lambda: mp.exp(-mp.pi)),
-        eps_plus_closed,
+        theta_source,
+        _theta(1, 2, _point(1)),
+        _closed(1, two="-9/8", three="-3/8", e_pi="1/24", c=1, a="-1/2", **_PREF),
     )
     add(
         "t6.eps_minus",
         "eps(-e^{-pi}) = 2^{-3/4} 3^{-1/2} e^{pi/24} (1+sqrt3) (2 sqrt3 - 3)^{1/4} pi^{1/4}/Gamma(3/4)",
-        "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(1, 2, lambda: -mp.exp(-mp.pi)),
-        eps_minus_closed,
+        theta_source,
+        _theta(1, 2, x_neg_pi),
+        _closed(1, two="-3/4", three="-1/2", e_pi="1/24", rt3p1=1, b="1/4", **_PREF),
     )
     add(
         "t7.eps_2pi",
         "eps(e^{-2pi}) = e^{pi/12} (2+sqrt3+(sqrt2+sqrt6)/2 3^{3/4}) / (3^{3/8} (sqrt3+1)^{5/6} (1+sqrt3+sqrt2 3^{3/4})^{2/3}) pi^{1/4}/Gamma(3/4)",
-        "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(1, 2, lambda: mp.exp(-2 * mp.pi)),
-        eps_2pi_closed,
+        theta_source,
+        _theta(1, 2, _point(2)),
+        _closed(1, e_pi="1/12", d=1, three="-3/8", rt3p1="-5/6", c="-2/3", **_PREF),
     )
 
     # f(e^{-pi}, e^{-5pi}) = f(x, x^5) at x = e^{-pi}
-    def f15_closed():
-        rt2, rt3, q14, q34, pref = _radical_parts()
-        return (
-            _p(2, -5, 4)
-            * _p(3, -3, 8)
-            * mp.exp(mp.pi / 3)
-            * _p(rt3 + 1, 5, 6)
-            * _p(1 + rt3 + rt2 * q34, 5, 3)
-            / ((1 + rt3 + rt2 * q14) * (2 + rt3 + (rt2 + mp.sqrt(6)) / 2 * q34))
-            * pref
-        )
-
     add(
         "t8.f15",
         "f(e^{-pi}, e^{-5pi}) = 2^{-5/4} 3^{-3/8} e^{pi/3} (sqrt3+1)^{5/6} (1+sqrt3+sqrt2 3^{3/4})^{5/3} / ((1+sqrt3+sqrt2 3^{1/4})(2+sqrt3+(sqrt2+sqrt6)/2 3^{3/4})) pi^{1/4}/Gamma(3/4)",
-        "theta evaluations in Gamma(3/4) radicals (Yi-Lee-Paek 2013 style)",
-        _theta(1, 5, lambda: mp.exp(-mp.pi)),
-        f15_closed,
+        theta_source,
+        _theta(1, 5, _point(1)),
+        _closed(1, two="-5/4", three="-3/8", e_pi="1/3", rt3p1="5/6", c="5/3", a=-1, d=-1,
+                **_PREF),
     )
 
     return {sv.id: sv for sv in out}
@@ -447,10 +717,12 @@ SPECIALS: dict[str, SpecialValue] = _specials()
 def check_special(id_: str, precision: int) -> dict:
     """Compare the defining sum with the closed form at `precision` bits.
 
-    Passes when the relative error (absolute, for zero targets) is below
-    2^-(precision-32); the sum is cut where its proved tail bound falls below
-    2^-(precision+16) (see the module docstring). Returns a JSON-ready
-    report. Precisions below MIN_PRECISION raise ValueError.
+    Both sides are ints at one scale 2^-wp, with wp 64 bits past the proved
+    tail bound at which the sum is cut, itself below 2^-(precision+16) (see
+    the module docstring). Passes when the relative error (absolute, for
+    zero targets) is below 2^-(precision-32). Returns a JSON-ready report,
+    its values printed by _nstr. Precisions below MIN_PRECISION raise
+    ValueError.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
@@ -459,30 +731,24 @@ def check_special(id_: str, precision: int) -> dict:
         raise KeyError(f"unknown special value {id_!r}; known ids: {known}")
     sv = SPECIALS[id_]
     route = sv.route
-    with mp.workprec(_GUARD_BITS):
-        log2_x = float(mp.log(abs(route.point()), 2)) + _LOG2_SLACK
+    log2_x = _log2(route.point) + _LOG2_SLACK
     n, log2_bound = route.stop(log2_x, precision + _STOP_MARGIN)
-    with mp.workprec(math.ceil(-log2_bound) + _GUARD_BITS):
-        partial = route.partial(route.point(), n - 1)
-        got = route.c0 + route.c1 * partial
-        want = sv.closed()
-        abs_err = abs(got - want)
-        rel_err = abs_err / abs(want) if want != 0 else abs_err
-        err = abs_err if sv.zero_target else rel_err
-        tol = mp.mpf(2) ** (-(precision - _PASS_MARGIN))
-        # print 256-bit copies: at full precision, mpmath formats a value below
-        # about 2^-14300 through an int past CPython's 4300-digit str limit
-        got, want, abs_err, rel_err = (mp.mpf(x, prec=256) for x in (got, want, abs_err, rel_err))
-        report = {
-            "id": id_,
-            "precision_bits": precision,
-            # a zero target's sum is its residual, +-abs_err: print it as such
-            "series_value": mp.nstr(got, 8 if sv.zero_target else 30),
-            "closed_form": mp.nstr(want, 30),
-            "abs_err": mp.nstr(abs_err, 8),
-            "rel_err": mp.nstr(rel_err, 8),
-            "status": "pass" if err < tol else "fail",
-        }
+    wp = math.ceil(-log2_bound) + _GUARD_BITS
+    got = (route.c0 << wp) + route.c1 * route.partial(route.point, n - 1, wp)
+    want = sv.closed(wp)
+    abs_err = abs(got - want)
+    rel_err = _div(abs_err, -wp, abs(want), -wp, 2 * _PRINT_BITS) if want else (abs_err, -wp)
+    scale = 1 << wp if sv.zero_target else abs(want)
+    report = {
+        "id": id_,
+        "precision_bits": precision,
+        # a zero target's sum is its residual, +-abs_err: print it as such
+        "series_value": _nstr(got, -wp, 8 if sv.zero_target else 30),
+        "closed_form": _nstr(want, -wp, 30),
+        "abs_err": _nstr(abs_err, -wp, 8),
+        "rel_err": _nstr(*rel_err, 8),
+        "status": "pass" if abs_err << (precision - _PASS_MARGIN) < scale else "fail",
+    }
     if sv.note:
         report["note"] = sv.note
     return report

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qram import generators as G
 from qram import identities as I
 from qram.cli import main
 from qram.numeric import SPECIALS
@@ -203,6 +204,22 @@ def test_low_precision_is_usage_error(capsys, verb, bits):
     assert f"must be >= 64, got {bits}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["psi99999999999999999999", "T100002", "phi_tilde_2_100001", "theta_p1_m100001",
+     "E" + "9" * 5000],
+)
+def test_expand_rejects_an_index_past_the_cap_before_building(capsys, monkeypatch, name):
+    def unbuilt(*args):
+        raise AssertionError(f"{name} was built")
+
+    for builder in ("eisenstein", "family", "phi_series", "theta_f"):
+        monkeypatch.setattr(G, builder, unbuilt)
+    code, out, err = run(capsys, "expand", "--series", name, "--order", "2")
+    assert (code, out) == (2, "")
+    assert err == f"series name {name!r}: an index above {G.MAX_NAME_INDEX}\n"
+
+
 def test_expand_invalid_theta_exponent_is_unknown_name(capsys):
     code, out, err = run(capsys, "expand", "--series", "theta_p0_p1")
     assert code == 2
@@ -390,8 +407,9 @@ def _fresh_env():
 
 
 def test_cli_imports_no_argparse_gettext_or_locale():
-    # the parser's and the records' whole gain is not paying for these on
-    # every command; each verb runs once in the same fresh interpreter
+    # the parser's, the records' and the fixed-point special values' whole
+    # gain is not paying for these on every command; each verb runs once in
+    # the same fresh interpreter
     verbs = [
         ["verify", "--identity", "ode.P", "--order", "20"],
         ["convolve", "--identity", "t9", "--nmax", "20"],
@@ -403,8 +421,8 @@ def test_cli_imports_no_argparse_gettext_or_locale():
     script = (
         "import sys; from qram import cli; "
         f"codes = [cli.main(argv) for argv in {verbs!r}]; "
-        "print(codes, sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'}"
-        " & set(sys.modules)))"
+        "print(codes, sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect',"
+        " 'mpmath'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True,

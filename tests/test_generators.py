@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qram import series as S
 from qram.generators import (
+    MAX_NAME_INDEX,
     eisenstein,
     eps0,
     family,
@@ -165,6 +166,17 @@ def test_series_by_name_all_shapes():
     assert series_by_name("theta_m1_m2", 8) == theta_f(-1, 1, -1, 2, 8)
     assert series_by_name("phi_tilde_2_7", 8) == phi_series("tilde", 2, 7, 8)
     assert series_by_name("phi_1_2", 8) == phi_series("plain", 1, 2, 8)
+
+
+def test_series_by_name_admits_indices_up_to_the_cap():
+    top = MAX_NAME_INDEX
+    assert series_by_name(f"T{top}", 1) == family("T", top, 1)
+    assert series_by_name(f"phi_tilde_{top}_0", 1) == phi_series("tilde", top, 0, 1)
+    assert series_by_name(f"theta_p1_m{top}", 1) == theta_f(1, 1, -1, top, 1)
+    assert series_by_name("psi" + "0" * 20 + "6", 8) == family("psi", 6, 8)
+    for name in (f"T{top + 2}", f"E{top + 2}", f"theta_p{top + 1}_p1"):
+        with pytest.raises(ValueError, match=f"above {top}"):
+            series_by_name(name, 1)
 
 
 def test_series_by_name_rejects_unknown():

@@ -2,23 +2,35 @@
 
 import hashlib
 import math
+from fractions import Fraction
+from heapq import merge
 from itertools import count, islice
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_ln2, mpf_ln10
 
 from qram import numeric
 from qram.divisors import DivisorKind, boundary_value
 from qram.numeric import (
     _A,
+    _BASES,
     _LOG2_SLACK,
     _STOP_MARGIN,
     SPECIALS,
+    _agm,
+    _exp,
     _lambert,
     _lambert_sum,
+    _ln2_ln10,
+    _log2,
+    _nstr,
+    _pi,
+    _root,
     _theta,
+    _theta_sum,
     check_all_specials,
     check_special,
     gamma_quarter,
@@ -43,25 +55,31 @@ def _oracle_partial(kind, r, s):
     return lambda x, n: mp.fsum(islice(_lambert_terms(kind, r, s, x), n))
 
 
+def _fixed(x):
+    """The point x (a float, or a decimal string) as a function of the scale
+    w: x 2^w rounded down."""
+    q = Fraction(x)
+    return lambda w: math.floor(q * 2**w)
+
+
+def _mpf(v, w):
+    """The fixed-point int v at scale 2^-w as an exact mpf, whatever the
+    working precision."""
+    return mp.make_mpf(from_man_exp(v, -w))
+
+
 def _stop(route, bits):
     """The stop index and log2 tail bound that check_special uses at `bits`."""
-    with mp.workprec(64):
-        log2_x = float(mp.log(abs(route.point()), 2)) + _LOG2_SLACK
-    return route.stop(log2_x, bits + _STOP_MARGIN)
+    return route.stop(_log2(route.point) + _LOG2_SLACK, bits + _STOP_MARGIN)
 
 
 def test_gamma_constants_match_reference():
     # AGM route cross-checked against the library gamma at 300 bits
     with mp.workprec(300):
-        assert mp.almosteq(gamma_quarter(), mp.gamma(mp.mpf(1) / 4), rel_eps=mp.mpf(2) ** -290)
-        assert mp.almosteq(
-            gamma_three_quarters(), mp.gamma(mp.mpf(3) / 4), rel_eps=mp.mpf(2) ** -290
-        )
-        assert mp.almosteq(
-            gamma_quarter() * gamma_three_quarters(),
-            mp.pi * mp.sqrt(2),
-            rel_eps=mp.mpf(2) ** -290,
-        )
+        g14, g34 = _mpf(gamma_quarter(300), 300), _mpf(gamma_three_quarters(300), 300)
+        assert mp.almosteq(g14, mp.gamma(mp.mpf(1) / 4), rel_eps=mp.mpf(2) ** -290)
+        assert mp.almosteq(g34, mp.gamma(mp.mpf(3) / 4), rel_eps=mp.mpf(2) ** -290)
+        assert mp.almosteq(g14 * g34, mp.pi * mp.sqrt(2), rel_eps=mp.mpf(2) ** -290)
 
 
 def test_catalogue_contents():
@@ -127,7 +145,7 @@ def test_value_spot_checks():
     # report strings carry 30 significant digits; compare at that resolution
     with mp.workprec(200):
         rep = check_special("hahn.Q", 192)
-        target = mp.pi**2 / gamma_three_quarters() ** 8
+        target = mp.pi**2 / mp.gamma(mp.mpf(3) / 4) ** 8
         assert mp.almosteq(mp.mpf(rep["closed_form"]), target, rel_eps=mp.mpf(10) ** -28)
         rep2 = check_special("ct5b.phi09", 192)
         assert mp.almosteq(mp.mpf(rep2["closed_form"]), mp.mpf(-31) / 8, rel_eps=mp.mpf(10) ** -28)
@@ -163,15 +181,12 @@ def test_residual_is_below_the_stop_bound(bits):
 
 def _assert_tail_bound_holds(route, partial, bits=64):
     """At the stop index N the route picks, the partial sum to N-1 lies
-    within the claimed bound of the sum to 2N; partial(x, n) sums the
-    route's first n terms."""
-    with mp.workprec(64):
-        log2_x = float(mp.log(abs(route.point()), 2))
-    n, log2_bound = route.stop(log2_x, bits)
+    within the claimed bound of the sum to 2N; partial(n) sums the route's
+    first n terms as an mpf at the working precision."""
+    n, log2_bound = route.stop(_log2(route.point), bits)
     assert log2_bound < -bits
     with mp.workprec(bits + 256):
-        x = route.point()
-        gap = abs(route.c1 * (partial(x, n - 1) - partial(x, 2 * n)))
+        gap = abs(route.c1 * (partial(n - 1) - partial(2 * n)))
         assert gap < mp.mpf(2) ** log2_bound, (n, gap, log2_bound)
 
 
@@ -181,15 +196,16 @@ def _assert_tail_bound_holds(route, partial, bits=64):
 @pytest.mark.parametrize("r", [0, 1, 2])
 @pytest.mark.parametrize("kind", list(DivisorKind), ids=lambda k: k.value)
 def test_lambert_tail_bound_near_unit_radius(kind, r, x):
-    route = _lambert(kind, r, 13, lambda: mp.mpf(x), c1=-16)
-    _assert_tail_bound_holds(route, _oracle_partial(kind, r, 13))
+    route = _lambert(kind, r, 13, _fixed(x), c1=-16)
+    _assert_tail_bound_holds(route, lambda n: _oracle_partial(kind, r, 13)(mp.mpf(x), n))
 
 
 @pytest.mark.parametrize("x", ["0.9", "-0.9"])
 @pytest.mark.parametrize("uv", [(1, 3), (1, 2), (1, 5)], ids=["psi", "eps", "f15"])
 def test_theta_tail_bound_near_unit_radius(uv, x):
-    route = _theta(*uv, lambda: mp.mpf(x))
-    _assert_tail_bound_holds(route, route.partial)
+    route = _theta(*uv, _fixed(x))
+    wp = 64 + 256
+    _assert_tail_bound_holds(route, lambda n: _mpf(route.partial(route.point, n, wp), wp))
 
 
 THETA_IDS = (
@@ -200,9 +216,8 @@ THETA_IDS = (
 
 def _exponents(route, n):
     """The exponents in the first n terms of a theta route, read off at x = 2:
-    the partial sum is exact while it stays below 2^prec."""
-    with mp.workprec(4096):
-        v = int(route.partial(mp.mpf(2), n))
+    products of powers of 2 are exact in fixed point."""
+    v = route.partial(lambda w: 2 << w, n, 0)
     assert v.bit_length() <= 4096
     return {i for i in range(v.bit_length()) if v >> i & 1}
 
@@ -213,8 +228,7 @@ def test_theta_stop_is_within_one_exponent_step(id_, bits):
     # the sum stops at the first exponent whose tail bound meets the target,
     # so the bound lies below it by at most one step between exponents
     route = SPECIALS[id_].route
-    with mp.workprec(64):
-        log2_x = float(mp.log(abs(route.point()), 2)) + _LOG2_SLACK
+    log2_x = _log2(route.point) + _LOG2_SLACK
     target = -(bits + _STOP_MARGIN)
     n, log2_bound = route.stop(log2_x, -target)
     summed = _exponents(route, n - 1)
@@ -256,16 +270,18 @@ _KERNEL_C = (3, 10, 47)  # c_r of _lambert_sum's rounding bound
 @example(kind=HAT, r=1, s=7, x=-0.9, bits=512)
 @example(kind=TILDE, r=2, s=13, x=0.95, bits=2048)
 def test_lambert_sum_within_its_rounding_bound(kind, r, s, x, bits):
-    # the sum check_special would make at `bits`, against the termwise oracle
-    # at 256 more bits: |t_d| < 2^100 for |x| <= 0.95 and s <= 13, so the
-    # oracle's own rounding stays far below the bound
-    route = _lambert(kind, r, s, lambda: mp.mpf(x))
+    # the sum check_special would make at `bits`, at the scale 2^-w the route
+    # sums at, against the termwise oracle at 256 bits past w: |t_d| < 2^100
+    # for |x| <= 0.95 and s <= 13, so the oracle's own rounding stays far
+    # below the bound
+    route = _lambert(kind, r, s, _fixed(x))
     n, log2_bound = _stop(route, bits)
     wp = math.ceil(-log2_bound) + 64
-    with mp.workprec(wp):
-        got = _lambert_sum(kind, r, s, x, n - 1)
-    with mp.workprec(wp + 256):
-        want = _oracle_partial(kind, r, s)(mp.mpf(x), n - 1)
+    w = wp + (s + 1) * (n - 1).bit_length() + 8
+    xw = route.point(w)
+    got = _mpf(_lambert_sum(kind, r, s, xw, n - 1, w), w)
+    with mp.workprec(w + 256):
+        want = _oracle_partial(kind, r, s)(_mpf(xw, w), n - 1)
         nu = 1 / (1 - abs(mp.mpf(x)) - mp.mpf(2) ** -(wp + 8))
         bound = _KERNEL_C[r] * nu ** (r + 3) * mp.mpf(2) ** -(wp + 8)
         # plus the final rounding to wp bits
@@ -278,23 +294,181 @@ def _p_power(base, num, den):
     return mp.power(base, mp.mpf(num) / den)
 
 
-def _radical_parts_power():
+def _power_forms():
+    """The bases and closed forms as mpmath computes them, through mp.power
+    and mp.gamma: the oracle for numeric's integer roots and AGM."""
     rt2, rt3 = mp.sqrt(2), mp.sqrt(3)
-    q14 = mp.power(3, mp.mpf(1) / 4)
-    q34 = mp.power(3, mp.mpf(3) / 4)
-    pref = mp.power(mp.pi, mp.mpf(1) / 4) / gamma_three_quarters()
-    return rt2, rt3, q14, q34, pref
+    q14, q34 = _p_power(3, 1, 4), _p_power(3, 3, 4)
+    g34 = mp.gamma(mp.mpf(3) / 4)
+    pref = _p_power(mp.pi, 1, 4) / g34
+    a, b, c = 1 + rt2 * q14 + rt3, 2 * rt3 - 3, 1 + rt3 + rt2 * q34
+    d = 2 + rt3 + (rt2 + mp.sqrt(6)) / 2 * q34
+    bases = {
+        "two": mp.mpf(2), "three": mp.mpf(3), "pi": +mp.pi, "gamma": g34,
+        "e_pi": mp.exp(mp.pi), "a": a, "b": b, "c": c, "d": d, "rt3p1": rt3 + 1,
+    }
+    e = lambda num, den: mp.exp(num * mp.pi / den)  # noqa: E731
+    closed = {
+        "hahn.P": 2 / mp.pi,
+        "hahn.E": mp.mpf(0),
+        "hahn.Q": mp.pi**2 / g34**8,
+        "hahn.R": mp.mpf(0),
+        "classical.Q_2pi": 3 * mp.pi**2 / (4 * g34**8),
+        "classical.Q_neg_pi": -3 * mp.pi**2 / g34**8,
+        "ct5.phi01": 1 / (4 * mp.pi) - mp.mpf(1) / 8,
+        "ct5.phi05": -mp.mpf(1) / 8,
+        "ct5.phi16": -mp.pi**4 / (16 * g34**16),
+        "ct5.phi27": -7 * mp.pi**3 / (16 * g34**16),
+        "ct5b.phi09": -mp.mpf(31) / 8,
+        "ct5b.phi013": -mp.mpf(5461) / 8,
+        "l2.psi3pi": _p_power(2, -1, 8) * _p_power(3, -3, 8) * e(3, 8)
+        * _p_power(a, -1, 2) * pref,
+        "l2.psi3pi_neg": _p_power(2, -3, 4) * _p_power(3, -1, 2) * e(3, 8)
+        * _p_power(b, 1, 4) * pref,
+        "l3.psi6pi": e(3, 4) / (_p_power(3, 3, 8) * _p_power(rt3 + 1, 5, 6)
+                                * _p_power(c, 2, 3)) * pref,
+        "t6.eps_plus": _p_power(2, -9, 8) * _p_power(3, -3, 8) * e(1, 24) * c
+        * _p_power(a, -1, 2) * pref,
+        "t6.eps_minus": _p_power(2, -3, 4) * _p_power(3, -1, 2) * e(1, 24) * (1 + rt3)
+        * _p_power(b, 1, 4) * pref,
+        "t7.eps_2pi": e(1, 12) * d / (_p_power(3, 3, 8) * _p_power(rt3 + 1, 5, 6)
+                                      * _p_power(c, 2, 3)) * pref,
+        "t8.f15": _p_power(2, -5, 4) * _p_power(3, -3, 8) * e(1, 3)
+        * _p_power(rt3 + 1, 5, 6) * _p_power(c, 5, 3) / (a * d) * pref,
+    }
+    return bases, closed
 
 
 @pytest.mark.parametrize("wp", [256, 1024, 4096])
-def test_root_closed_forms_match_power_forms(wp, monkeypatch):
+def test_root_closed_forms_match_power_forms(wp):
+    # every closed form and every base it is built from, at scale 2^-wp,
+    # against mpmath's power forms at wp bits
     tol = mp.mpf(2) ** -(wp - 8)
     with mp.workprec(wp):
-        new = [SPECIALS[id_].closed() for id_ in THETA_IDS]
-        new_parts = numeric._radical_parts()
-        monkeypatch.setattr(numeric, "_p", _p_power)
-        monkeypatch.setattr(numeric, "_radical_parts", _radical_parts_power)
-        old = [SPECIALS[id_].closed() for id_ in THETA_IDS]
-        old_parts = _radical_parts_power()
-        for got, want in zip(new + list(new_parts), old + list(old_parts)):
+        bases, closed = _power_forms()
+        assert sorted(closed) == sorted(SPECIALS)
+        new = [_mpf(SPECIALS[id_].closed(wp), wp) for id_ in sorted(closed)]
+        new_parts = [_mpf(_BASES[name](wp), wp) for name in sorted(bases)]
+        old = [closed[id_] for id_ in sorted(closed)]
+        old_parts = [bases[name] for name in sorted(bases)]
+        for got, want in zip(new + new_parts, old + old_parts):
             assert abs(got - want) <= tol * abs(want), (wp, got, want)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point primitives against mpmath, at random precisions
+
+BITS = st.integers(64, 4096)
+PRIMITIVES = settings(max_examples=60, deadline=None)
+
+
+def _ulps(v, w, want):
+    """|v - want 2^w|, the error in ulps of the int v at scale 2^-w."""
+    return abs(mp.mpf(v) - mp.ldexp(want, w))
+
+
+@PRIMITIVES
+@given(w=BITS)
+def test_pi_within_two_ulps(w):
+    with mp.workprec(w + 64):
+        assert _ulps(_pi(w), w, mp.pi) <= 2
+
+
+@PRIMITIVES
+@given(w=BITS, x=st.fractions(-20, 4))
+@example(w=1024, x=Fraction(-6) * Fraction(math.pi))
+def test_exp_within_two_ulps(w, x):
+    v = math.floor(x * 2**w)
+    with mp.workprec(w + 64):
+        assert _ulps(_exp(v, w), w, mp.exp(_mpf(v, w))) <= 2
+
+
+@PRIMITIVES
+@given(w=BITS, x=st.fractions(0, 1000), n=st.sampled_from([2, 3, 4, 6, 8, 24]))
+def test_root_rounds_down(w, x, n):
+    v = math.floor(x * 2**w)
+    with mp.workprec(w + 64):
+        err = mp.ldexp(mp.root(_mpf(v, w), n), w) - _root(v, n, w)
+        assert 0 <= err < 1
+
+
+@PRIMITIVES
+@given(w=BITS, a=st.fractions(1, 100), b=st.fractions(1, 100))
+def test_agm_within_two_ulps(w, a, b):
+    va, vb = math.floor(a * 2**w), math.floor(b * 2**w)
+    with mp.workprec(w + 64):
+        assert _ulps(_agm(va, vb), w, mp.agm(_mpf(va, w), _mpf(vb, w))) <= 2
+
+
+@PRIMITIVES
+@given(x=st.fractions(-1, 1).filter(lambda q: 0 < abs(q) < 1), e=st.integers(0, 60))
+@example(x=Fraction(9, 10), e=0)
+def test_log2_is_the_float_nearest_log2(x, e):
+    point = _fixed(x / 2**e)
+    with mp.workprec(400):
+        assert _log2(point) == float(mp.log(abs(_mpf(point(400), 400)), 2))
+
+
+def test_log2_equals_mpmaths_64_bit_log2_at_every_route_point():
+    # check_special's stop indices were pinned with log2|x| from mpmath: the
+    # point rounded to 64 bits, then its log2 at 64 bits, then a float
+    points = {route.point(256): route.point for route in (sv.route for sv in SPECIALS.values())}
+    assert len(points) == 6
+    for v, point in points.items():
+        with mp.workprec(64):
+            assert _log2(point) == float(mp.log(abs(_mpf(v, 256)), 2)), v
+
+
+def test_ln2_and_ln10_cut_as_mpmath_cuts_them():
+    for p in range(3, 160):
+        l2, l10 = _ln2_ln10(p)
+        assert from_man_exp(l2, -p) == mpf_ln2(p)
+        assert from_man_exp(l10, 2 - p) == mpf_ln10(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    man=st.integers(1, 2**4096),
+    # below 2^3500 in size, as every printed value is
+    exp=st.integers(-16500, -3500) | st.integers(-4500, -700),
+    sign=st.sampled_from([1, -1]),
+    n=st.integers(1, 40),
+)
+@example(man=1, exp=-14400, sign=1, n=8)
+@example(man=2**300 - 1, exp=-300, sign=1, n=8)
+@example(man=10**30 - 1, exp=0, sign=-1, n=30)
+@example(man=3, exp=-3502, sign=1, n=8)
+def test_nstr_prints_as_mpmath_prints(man, exp, sign, n):
+    # the value itself at full size, its 256-bit copy printed, as
+    # check_special printed mp.nstr(mp.mpf(x, prec=256), n)
+    x = mp.make_mpf(from_man_exp(sign * man, exp))
+    assert _nstr(sign * man, exp, n) == mp.nstr(mp.mpf(x, prec=256), n)
+
+
+def test_nstr_of_zero():
+    assert _nstr(0, -100, 8) == mp.nstr(mp.mpf(0), 8) == "0.0"
+
+
+def _theta_oracle(u, v, x, n):
+    """x^e_1 + ... + x^e_n of _theta(u, v), one mpf power at a time."""
+    expo = lambda k: u * k * (k + 1) // 2 + v * k * (k - 1) // 2  # noqa: E731
+    merged = merge((expo(k) for k in count(1)), (expo(-k) for k in count(1)))
+    return mp.fsum(x**e for e in islice(merged, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    uv=st.sampled_from([(1, 3), (1, 2), (1, 5)]),
+    x=st.floats(-0.95, 0.95),
+    n=st.integers(0, 80),
+    w=st.integers(64, 1024),
+)
+@example(uv=(1, 5), x=-math.exp(-math.pi), n=40, w=1024)
+@example(uv=(1, 2), x=0.95, n=80, w=64)
+def test_theta_sum_within_its_rounding_bound(uv, x, n, w):
+    # the stepped powers against each power taken on its own, exactly
+    xw = _fixed(x)(w)
+    got = _theta_sum(*uv, xw, n, w)
+    with mp.workprec(w * 80 + 64):
+        want = mp.ldexp(_theta_oracle(*uv, _mpf(xw, w), n), w)
+        assert abs(got - want) <= 2 * (sum(uv) + 1) * n**3, (got - want)
