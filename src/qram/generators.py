@@ -188,13 +188,9 @@ def eps0(order: int) -> S.Series:
 
 
 def fneg(order: int) -> S.Series:
-    """f(-q) = f(-q, -q^2) = (q;q)_inf, the signed pentagonal sum."""
+    """f(-q) = f(-q, -q^2) = (q;q)_inf, the signed pentagonal sum (Euler's
+    pentagonal number theorem); the name poch resolves here too."""
     return theta_f(-1, 1, -1, 2, order)
-
-
-def pochhammer(order: int) -> S.Series:
-    """(q;q)_inf as the infinite product prod (1 - q^n)."""
-    return S.product_expansion([(1, 1, 1)], order)
 
 
 _THETA_NAME = re.compile(r"^theta_([pm])(\d+)_([pm])(\d+)$")
@@ -238,7 +234,7 @@ def series_by_name(name: str, order: int) -> S.Series:
         "R": lambda: eisenstein(3, order),
         "varphi": lambda: varphi(order),
         "fneg": lambda: fneg(order),
-        "poch": lambda: pochhammer(order),
+        "poch": lambda: fneg(order),
     }
     if name in fixed:
         return fixed[name]()

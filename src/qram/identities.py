@@ -8,8 +8,8 @@ Three kinds of entry:
                 ever needed; the one genuine quotient identity (lemma_lx) is
                 pre-cross-multiplied too.
   convolution:  the same, with n_max as the order: each side is the Series
-                sum_n v(n) q^n of its values, one side pointwise from
-                divisor_sum and the other a product of Lambert series from
+                sum_n v(n) q^n of its values, one side pointwise by
+                trial division and the other a product of Lambert series from
                 divisors.convolution_sequence (the brute-force
                 divisors.convolution is its test oracle). Coefficients
                 outside the stated domain are zeroed before the compare, and
@@ -29,7 +29,13 @@ from . import generators as G
 from . import series as S
 from . import weighted as W
 from . import numeric
-from .divisors import DivisorKind, convolution_sequence, divisor_sum, divisor_sum_table
+from .divisors import (
+    DivisorKind,
+    _divisor_sum_positive,
+    boundary_value,
+    convolution_sequence,
+    divisor_sum_table,
+)
 from .record import Record
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
@@ -138,12 +144,13 @@ def _scaled_euler(build: Callable[[int], S.Series], c) -> Callable[[int], S.Seri
 # convolution-side building blocks; each returns a Series of order n_max
 
 
-def _sigma(kind: DivisorKind, s: int, n_max: int, first: int = 0) -> S.Series:
-    """sum_{n >= first} sigma_s(n) q^n, pointwise from divisor_sum: the
+def _sigma(kind: DivisorKind, s: int, n_max: int, boundary: bool = True) -> S.Series:
+    """sum_{n >= 1} sigma_s(n) q^n, with the boundary value as its constant
+    term if boundary is set: int divisor sums by trial division, the
     independent check of the sieve behind the other side."""
-    return S.from_coeffs(
-        [0] * first + [divisor_sum(kind, s, n) for n in range(first, n_max + 1)]
-    )
+    b = boundary_value(kind, s) if boundary else Fraction(0)
+    sums = (_divisor_sum_positive(kind, s, n) for n in range(1, n_max + 1))
+    return S.Series((b.numerator, *(b.denominator * x for x in sums)), b.denominator)
 
 
 def _cheng_williams_lhs(n_max: int) -> S.Series:
@@ -169,7 +176,7 @@ def _parity_reduction(kind: DivisorKind, c: Callable[[int], int]):
         return S.sub(plain, S.scale(c(s), S.substitute_power(plain, 2)))
 
     return (
-        lambda n_max: tuple(_sigma(kind, s, n_max, first=1) for s in weights),
+        lambda n_max: tuple(_sigma(kind, s, n_max, boundary=False) for s in weights),
         lambda n_max: tuple(reduced(s, n_max) for s in weights),
     )
 

@@ -330,11 +330,34 @@ class Route(Record):
             object.__setattr__(self, name, value)
 
     def stop(self, log2_x: float, bits: int) -> tuple[int, float]:
-        """The first N with |c1| * tail bound from N < 2^-bits; log2 of that."""
-        for n in count(1):
-            bound = math.log2(abs(self.c1)) + self.log2_tail(log2_x, n)
-            if bound < -bits:
-                return n, bound
+        """The first N with |c1| * tail bound from N < 2^-bits; log2 of that.
+
+        Found by galloping N = 1, 2, 4, ... to the first power of two that
+        meets the target, then bisecting below it, which is the first N
+        because "meets the target" is monotone in N: once it holds, it holds
+        for every larger N. Each log2_tail here is infinite or nonincreasing
+        in k. The theta bound 1 + e_k log2|x| - log2(1 - |x|) falls as the
+        exponents e_k rise. The Lambert bound is infinite while the ratio
+        r_k = (1+1/k)^s |x| is at least 1; r_k falls with k, and once r_k < 1
+        the bound's -log2(1 - r_k) falls, and s log2 k + k log2|x| changes by
+        log2 r_k < 0 from k to k + 1. Near the target the bound falls by
+        about -log2|x| per step, far more than its float rounding.
+        """
+
+        def bound(n):
+            return math.log2(abs(self.c1)) + self.log2_tail(log2_x, n)
+
+        hi = 1
+        while not bound(hi) < -bits:
+            hi *= 2
+        lo = hi // 2  # misses the target, or is 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if bound(mid) < -bits:
+                hi = mid
+            else:
+                lo = mid
+        return hi, bound(hi)
 
 
 # A_r(y) = sum_{m>=1} m^r y^m

@@ -3,16 +3,15 @@
 A Series is a tuple of int numerators indexed 0..N over one positive common
 denominator, with truncation order N (inclusive); the kernels run on ints.
 Mixing two orders silently truncates to the smaller one, and identity checks
-always compare at an explicitly requested order. Dense storage, schoolbook
-O(N^2) products: every series here is dense and N stays at desk scale (a few
-hundred).
+always compare at an explicitly requested order. Storage is dense, and a
+product is one bigint multiply by Kronecker substitution (see mul), so orders
+in the thousands stay cheap.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul as _imul
 
 from .divisors import DivisorKind, divisor_sum_table
 from .record import Record
@@ -126,29 +125,39 @@ def scale(c, a: Series) -> Series:
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated at min(order)."""
+    """Cauchy product truncated at n = min(order), by Kronecker substitution
+    (Schoenhage 1982; Harvey, J. Symb. Comp. 44, 2009).
+
+    Each side's numerators a_0..a_n become one int sum a_i 2^(iB) with one
+    signed B-bit slot per coefficient, so the product of the two ints holds
+    c_k = sum_{i<=k} a_i b_(k-i) in slot k. c_k has at most n + 1 terms, so
+    |c_k| <= (n+1) max|a| max|b|; B is a whole number of bytes with 2^(B-1)
+    above that bound (max|a| and max|b| taken as at least 1, so every input
+    fits a slot too). Adding 2^(B-1) to each of the first n + 1 slots makes
+    them all nonnegative and below 2^B, so no slot borrows from the next and
+    each reads off its own bytes.
+    """
     n = min(a.order, b.order)
-    xs, ys = a.nums, b.nums[n::-1]  # ys[n - k:] is b_k, ..., b_0
-    out = tuple(sum(map(_imul, xs[: k + 1], ys[n - k :])) for k in range(n + 1))
+    xs, ys = a.nums[: n + 1], b.nums[: n + 1]
+    bound = (n + 1) * max(1, *map(abs, xs)) * max(1, *map(abs, ys))
+    w = bound.bit_length() // 8 + 1  # bytes per slot: 8w > bitlen(bound)
+    half = 1 << 8 * w - 1
+    size = (n + 1) * w
+    biased = _pack(xs, w) * _pack(ys, w) + int.from_bytes(
+        half.to_bytes(w, "little") * (n + 1), "little"
+    )
+    data = (biased & (1 << 8 * size) - 1).to_bytes(size, "little")
+    out = tuple(int.from_bytes(data[i : i + w], "little") - half for i in range(0, size, w))
     return Series(out, a.den * b.den)
 
 
-def div(a: Series, b: Series) -> Series:
-    """c with b*c = a to the truncation order; b must be a unit (b[0] != 0).
-
-    Integer long division: with D = b.nums[0], nums(a)/nums(b) has q^k
-    coefficient C_k / D^(k+1), C_k = A_k D^k - sum_{i=1..k} B_i D^(i-1) C_{k-i}.
-    """
-    d = b.nums[0]
-    if d == 0:
-        raise ZeroDivisionError("non-unit divisor: constant term is zero")
-    n = min(a.order, b.order)
-    bd = [b.nums[i] * d ** (i - 1) for i in range(1, n + 1)]  # B_i D^(i-1)
-    cs: list[int] = []
-    for k in range(n + 1):
-        cs.append(a.nums[k] * d**k - sum(map(_imul, bd, reversed(cs))))
-    nums = tuple(c * d ** (n - k) * b.den for k, c in enumerate(cs))
-    return Series(nums, a.den * d ** (n + 1))
+def _pack(vs: tuple[int, ...], w: int) -> int:
+    """sum vs[i] 2^(8wi): each value as w two's-complement bytes, less the
+    2^(8w) that every negative slot's bytes carry over its value."""
+    one, nil = (1).to_bytes(w, "little"), bytes(w)
+    slots = b"".join([v.to_bytes(w, "little", signed=True) for v in vs])
+    carries = b"".join([one if v < 0 else nil for v in vs])
+    return int.from_bytes(slots, "little") - (int.from_bytes(carries, "little") << 8 * w)
 
 
 def euler_op(a: Series) -> Series:

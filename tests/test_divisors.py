@@ -50,6 +50,16 @@ def test_sieve_table_matches_pointwise(kind, s, n):
     assert table[n] == divisor_sum(kind, s, n)
 
 
+def test_sieve_table_matches_pointwise_everywhere():
+    # every entry of the sliced sieve, not just its last, against trial division
+    n_max = 2000
+    for kind in KINDS:
+        for s in range(8):
+            table = divisor_sum_table(kind, s, n_max)
+            assert table[0] == 0
+            assert table[1:] == [divisor_sum(kind, s, n) for n in range(1, n_max + 1)]
+
+
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 5))
 def test_plain_multiplicative(m, n, s):
     if gcd(m, n) != 1:

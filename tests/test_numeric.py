@@ -236,6 +236,35 @@ def test_theta_stop_is_within_one_exponent_step(id_, bits):
     assert target + step * log2_x <= log2_bound < target, (n, step, log2_bound)
 
 
+def _linear_stop(route, log2_x, bits):
+    """The stop index found by trying n = 1, 2, ... in turn: the oracle for
+    Route.stop's gallop and bisection."""
+    for n in count(1):
+        bound = math.log2(abs(route.c1)) + route.log2_tail(log2_x, n)
+        if bound < -bits:
+            return n, bound
+
+
+@pytest.mark.parametrize("bits", [64, 100, 128, 256, 1000, 1024, 4096, 16384])
+def test_stop_matches_linear_scan(bits):
+    for id_ in sorted(SPECIALS):
+        route = SPECIALS[id_].route
+        log2_x = _log2(route.point) + _LOG2_SLACK
+        for target in (bits, bits + _STOP_MARGIN):
+            assert route.stop(log2_x, target) == _linear_stop(route, log2_x, target), id_
+
+
+@pytest.mark.parametrize("x", ["0.9", "-0.9", "0.5"])
+def test_stop_matches_linear_scan_near_unit_radius(x):
+    # where a Lambert bound is infinite for its first indices, then falls
+    routes = [_lambert(kind, r, 13, _fixed(x), c1=-16) for kind in DivisorKind for r in (0, 1, 2)]
+    routes += [_theta(u, v, _fixed(x)) for u, v in ((1, 3), (1, 2), (1, 5))]
+    for route in routes:
+        log2_x = _log2(route.point)
+        for bits in (1, 64, 65, 256, 1024):
+            assert route.stop(log2_x, bits) == _linear_stop(route, log2_x, bits)
+
+
 # sha256 of the lines "ID BITS N LOG2_BOUND.hex()" for BITS in 64, 256, 1024,
 # 4096 and each special-value id in sorted order, recorded while the Lambert
 # sums were still summed term by term in mpf
