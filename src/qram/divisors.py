@@ -124,22 +124,25 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     """[sigma_s(0..n_max)] as ints, with a sieve; index 0 holds 0, not the
     boundary value.
 
-    Each divisor d adds its signed d^s to its multiples table[d::d] in one
-    slice assignment; for HAT the sign follows the codivisor m/d, so the odd
-    multiples table[d::2d] gain d^s and the even ones table[2d::2d] lose it.
-    O(n_max log n_max) additions, for dense consumers (Lambert coefficients,
-    bulk property checks). Pointwise values agree with divisor_sum for n >= 1.
+    Each divisor d up to n_max/2 adds its signed d^s to its multiples
+    table[d::d] in one slice assignment; for HAT the sign follows the
+    codivisor m/d, so the odd multiples table[d::2d] gain d^s and the even
+    ones table[2d::2d] lose it. A larger d divides only itself, where the
+    codivisor 1 is odd, so it is added on its own. O(n_max log n_max)
+    additions, for dense consumers (Lambert coefficients, bulk property
+    checks). Pointwise values agree with divisor_sum for n >= 1.
     """
     table = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        ds = d**s
+    tilde = kind is DivisorKind.TILDE
+    for d in range(1, n_max // 2 + 1):
+        ds = -(d**s) if tilde and d % 2 == 0 else d**s
         if kind is DivisorKind.HAT:
             table[d::2 * d] = map(ds.__add__, table[d::2 * d])
             table[2 * d::2 * d] = map((-ds).__add__, table[2 * d::2 * d])
         else:
-            if kind is DivisorKind.TILDE and d % 2 == 0:
-                ds = -ds
             table[d::d] = map(ds.__add__, table[d::d])
+    for d in range(n_max // 2 + 1, n_max + 1):
+        table[d] += -(d**s) if tilde and d % 2 == 0 else d**s
     return table
 
 
