@@ -4,8 +4,13 @@ Three divisor-sum flavors, integers for n >= 1:
 
     sigma_s(n)       = sum of d^s over divisors d of n
     sigma~_s(n)      = sum of (-1)^(d-1) d^s        (sign by divisor parity)
-    sigma^_s(n)      = sum of (-1)^(n/d-1) d^s      (sign by codivisor parity,
-                                                     equivalently the odd-divisor sum)
+    sigma^_s(n)      = sum of (-1)^(n/d-1) d^s      (sign by codivisor parity)
+
+For n = 2^a m with m odd, only the power of 2 in d decides either sign, so
+sigma~_s(n) = sigma_s(m) (1 - sum_{1<=j<=a} 2^(js)) and
+sigma^_s(n) = sigma_s(m) (2^(as) - sum_{j<a} 2^(js)). sigma^_1(n) is the
+odd-divisor sum sigma_1(m), but for s > 1 sigma^_s differs from it
+(sigma^_3(2) = 7).
 
 Convention: every flavor is 0 when n is negative or not an integer, which makes
 expressions like sigma_s(n/2) uniform. At n = 0 a flavor takes the rational
@@ -13,15 +18,19 @@ boundary value b that makes its generator (b + sum sigma_s(n) q^n)/b start
 with 1 (sigma_3(0) = 1/240 from Q, sigma~_1(0) = 1/8 from P~); boundary_value
 derives it, and a pair with no generator has none.
 
-convolution() is the brute-force oracle for the convolution identities: a literal
-sum over all compositions i_1 + ... + i_k = n of products of divisor sums, using
-the boundary values at argument 0.
+divisor_sum_table sieves a whole table; pointwise_tables factors each n once
+by trial division and reads every weight and flavor off the factorisation, so
+that each checks the other. convolution() is the brute-force oracle for the
+convolution identities: a literal sum over all compositions
+i_1 + ... + i_k = n of products of divisor sums, using the boundary values at
+argument 0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -146,6 +155,51 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     return table
 
 
+def _geometric(t: int, k: int) -> int:
+    """1 + t + ... + t^(k-1); k when t = 1, where (t^k - 1)/(t - 1) would
+    divide by zero."""
+    return k if t == 1 else (t**k - 1) // (t - 1)
+
+
+def pointwise_tables(pairs: list[tuple[DivisorKind, int]], n_max: int) -> list[list[int]]:
+    """[sigma_s(0..n_max)] for each (kind, s) of pairs, laid out as
+    divisor_sum_table's (index 0 holds 0), without a sieve.
+
+    Each n = 2^a prod p^e is factored once by trial division; sigma_s is
+    multiplicative, with sigma_s(p^e) = 1 + p^s + ... + p^(es), and the
+    flavors differ only in the factor of 2^a (see the module docstring).
+    """
+    tables = [[0] * (n_max + 1) for _ in pairs]
+    flavors = [(table, kind, s, 2**s) for table, (kind, s) in zip(tables, pairs)]
+    for n in range(1, n_max + 1):
+        a = (n & -n).bit_length() - 1
+        m, p, odd = n >> a, 3, []
+        while p * p <= m:
+            if m % p == 0:
+                e = 1
+                m //= p
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                odd.append((p, e))
+            p += 2
+        if m > 1:
+            odd.append((m, 1))
+        for table, kind, s, two in flavors:
+            total = 1
+            for p, e in odd:
+                total *= _geometric(p**s, e + 1)
+            below, top = _geometric(two, a), two**a  # sum_{j<a} 2^(js), 2^(as)
+            if kind is DivisorKind.PLAIN:
+                total *= below + top
+            elif kind is DivisorKind.TILDE:
+                total *= 2 - below - top
+            else:
+                total *= top - below
+            table[n] = total
+    return tables
+
+
 def convolution(terms: list[tuple[DivisorKind, int]], n: int) -> Fraction:
     """Brute-force k-fold convolution at a single n.
 
@@ -174,15 +228,22 @@ def convolution_sequence(terms: list[tuple[DivisorKind, int]], n_max: int):
     """Values of convolution(terms, n) for all n = 0..n_max, as one Series.
 
     The product of the factors' series sum_{n>=0} sigma_s(n) q^n, each with
-    its boundary value as the constant term, to order n_max. Agrees
-    coefficientwise with convolution().
+    its boundary value as the constant term, to order n_max. Each distinct
+    factor is built once and raised to its multiplicity by squaring, so
+    sigma^^4 takes one table and two products. Agrees coefficientwise with
+    convolution().
     """
     from . import series as S  # series imports this module
 
     if not terms:
         raise ValueError("convolution_sequence: empty term list")
-    factors = [
-        S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
-        for kind, s in terms
-    ]
-    return reduce(S.mul, factors)
+    powers = []
+    for (kind, s), k in Counter(terms).items():
+        f = S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
+        power = f if k & 1 else None
+        while k > 1:
+            f, k = S.mul(f, f), k >> 1
+            if k & 1:
+                power = f if power is None else S.mul(power, f)
+        powers.append(power)
+    return reduce(S.mul, powers)

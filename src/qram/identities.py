@@ -8,9 +8,9 @@ Three kinds of entry:
                 ever needed; the one genuine quotient identity (lemma_lx) is
                 pre-cross-multiplied too.
   convolution:  the same, with n_max as the order: each side is the Series
-                sum_n v(n) q^n of its values, one side pointwise by
-                trial division and the other a product of Lambert series from
-                divisors.convolution_sequence (the brute-force
+                sum_n v(n) q^n of its values, one side pointwise from one
+                factorisation of each n and the other a product of Lambert
+                series from divisors.convolution_sequence (the brute-force
                 divisors.convolution is its test oracle). Coefficients
                 outside the stated domain are zeroed before the compare, and
                 a bound n_max with no n in the domain is rejected.
@@ -31,10 +31,10 @@ from . import weighted as W
 from . import numeric
 from .divisors import (
     DivisorKind,
-    _divisor_sum_positive,
     boundary_value,
     convolution_sequence,
     divisor_sum_table,
+    pointwise_tables,
 )
 from .record import Record
 
@@ -144,13 +144,19 @@ def _scaled_euler(build: Callable[[int], S.Series], c) -> Callable[[int], S.Seri
 # convolution-side building blocks; each returns a Series of order n_max
 
 
-def _sigma(kind: DivisorKind, s: int, n_max: int, boundary: bool = True) -> S.Series:
-    """sum_{n >= 1} sigma_s(n) q^n, with the boundary value as its constant
-    term if boundary is set: int divisor sums by trial division, the
-    independent check of the sieve behind the other side."""
-    b = boundary_value(kind, s) if boundary else Fraction(0)
-    sums = (_divisor_sum_positive(kind, s, n) for n in range(1, n_max + 1))
-    return S.Series((b.numerator, *(b.denominator * x for x in sums)), b.denominator)
+def _sigmas(
+    pairs: list[tuple[DivisorKind, int]], n_max: int, boundary: bool = True
+) -> tuple[S.Series, ...]:
+    """sum_{n >= 1} sigma_s(n) q^n for each (kind, s) of pairs, with the
+    boundary value as its constant term if boundary is set: divisor sums from
+    one factorisation of each n (divisors.pointwise_tables), the independent
+    check of the sieve behind the other side."""
+    out = []
+    for (kind, s), table in zip(pairs, pointwise_tables(pairs, n_max)):
+        b = boundary_value(kind, s) if boundary else Fraction(0)
+        nums = (b.numerator, *(b.denominator * x for x in table[1:]))
+        out.append(S.Series(nums, b.denominator))
+    return tuple(out)
 
 
 def _cheng_williams_lhs(n_max: int) -> S.Series:
@@ -162,7 +168,7 @@ def _cheng_williams_lhs(n_max: int) -> S.Series:
 
 def _cheng_williams_rhs(n_max: int) -> S.Series:
     """4 sigma_3(n) - 4 sigma_3(n/2); the boundary terms cancel at n = 0."""
-    s3 = _sigma(PLAIN, 3, n_max)
+    (s3,) = _sigmas([(PLAIN, 3)], n_max)
     return S.scale(4, S.sub(s3, S.substitute_power(s3, 2)))
 
 
@@ -176,7 +182,7 @@ def _parity_reduction(kind: DivisorKind, c: Callable[[int], int]):
         return S.sub(plain, S.scale(c(s), S.substitute_power(plain, 2)))
 
     return (
-        lambda n_max: tuple(_sigma(kind, s, n_max, boundary=False) for s in weights),
+        lambda n_max: _sigmas([(kind, s) for s in weights], n_max, boundary=False),
         lambda n_max: tuple(reduced(s, n_max) for s in weights),
     )
 
@@ -423,7 +429,15 @@ def _convolution_identities() -> list[Identity]:
         )
 
     def sigma(kind, s):
-        return lambda n: _sigma(kind, s, n)
+        return lambda n: _sigmas([(kind, s)], n)[0]
+
+    def mixed(a, b, s):
+        # a sigma_s(n) + b sigma~_s(n), both from one factorisation of each n
+        def build(n):
+            plain, tilde = _sigmas([(PLAIN, s), (TILDE, s)], n)
+            return S.add(S.scale(a, plain), S.scale(b, tilde))
+
+        return build
 
     def convolved(terms, c):
         return lambda n: S.scale(c, convolution_sequence(terms, n))
@@ -447,14 +461,14 @@ def _convolution_identities() -> list[Identity]:
         "t11.a",
         "5 sigma_3(n) - sigma~_3(n) = 48 sum_{i+j=n} sigma^(i) sigma^(j)",
         "from Q = 4E~^2 - 3Q~",
-        lambda n: S.sub(S.scale(5, _sigma(PLAIN, 3, n)), _sigma(TILDE, 3, n)),
+        mixed(5, -1, 3),
         convolved([hat] * 2, 48),
     )
     conv(
         "t11.b",
         "7 sigma_5(n) + sigma~_5(n) = 1536 sum_{i+j+k=n} sigma^ sigma^ sigma^",
         "from R = -8E~^3 + 9R~",
-        lambda n: S.add(S.scale(7, _sigma(PLAIN, 5, n)), _sigma(TILDE, 5, n)),
+        mixed(7, 1, 5),
         convolved([hat] * 3, 1536),
     )
     conv(

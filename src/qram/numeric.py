@@ -3,17 +3,18 @@
 Each special value pairs two fully independent computations:
 
   series route:  the defining sum itself, c0 + c1 * sum_{k>=1} t_k at a point
-                 x, evaluated termwise, never through the polynomial
-                 identities;
+                 x, evaluated from its terms (a Lambert sum's first terms as
+                 one power series in x with divisor-sum coefficients), never
+                 through the polynomial identities;
   closed route:  the radical/pi/Gamma(3/4) closed form, with Gamma(3/4)
                  obtained from the arithmetic-geometric mean, not from a
                  library gamma function.
 
 All arithmetic is on Python ints in fixed point: an int v "at scale 2^-w"
 stands for v 2^-w, and an ulp is 2^-w. The pieces are pi by the Chudnovsky
-series with binary splitting, exp by halving and squaring, square roots from
-math.isqrt, n-th roots by Newton's method, and the AGM (Brent, JACM 23,
-1976).
+series with binary splitting (twice a check, see _pi_once), exp by halving
+and squaring, square roots from math.isqrt, n-th roots by Newton's method,
+and the AGM (Brent, JACM 23, 1976).
 
 Every defining sum is a weighted Lambert sum or a theta sum f(x^u, x^v), each
 with a proved tail bound (_lambert, _theta) and a proved rounding bound
@@ -29,11 +30,12 @@ target's series value is that residual, printed with the 8 digits of abs_err.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Optional
 
-from .divisors import DivisorKind, boundary_value
+from .divisors import DivisorKind, boundary_value, divisor_sum_table
 from .record import Record
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
@@ -48,6 +50,8 @@ _PASS_MARGIN = 32
 MIN_PRECISION = 2 * _PASS_MARGIN
 # closed forms are evaluated this many bits below the scale they return
 _CLOSED_GUARD = 32
+# pi is computed this far past the scale a check first needs (see _pi_once)
+_PI_HEADROOM = 64
 # values are printed from copies rounded to this many bits (see _nstr)
 _PRINT_BITS = 256
 
@@ -160,9 +164,11 @@ def _log2(point: Callable[[int], int]) -> float:
     log2|x| that Route.stop reads.
 
     With x = m 2^e and 1 <= m < 2, log2|x| = e + ln(m) / ln(2), and
-    ln(m) = 2 atanh((m - 1)/(m + 1)), ln(2) = 2 atanh(1/3).
+    ln(m) = 2 atanh((m - 1)/(m + 1)), ln(2) = 2 atanh(1/3). The point is
+    asked for at 160 bits first, which gives 128 significant bits of every
+    |x| >= 2^-32 (all the special values' points) in one call.
     """
-    w = 128
+    w = 160
     while (x := abs(point(w))).bit_length() < 128:
         w = w + 128 - x.bit_length() if x else 2 * w
     p = 160
@@ -170,22 +176,40 @@ def _log2(point: Callable[[int], int]) -> float:
     b = x.bit_length() - 1
     m = x << p >> b
     ln_m = 2 * _atanh(((m - one) << p) // (m + one), p)
-    ln2 = 2 * _atanh(one // 3, p)
-    return math.ldexp(float(((b - w) << p) + (ln_m << p) // ln2), -p)
+    return math.ldexp(float(((b - w) << p) + (ln_m << p) // _LN2_160), -p)
 
 
-def gamma_quarter(w: int) -> int:
+_LN2_160 = 2 * _atanh((1 << 160) // 3, 160)  # ln 2 at scale 2^-160, for _log2
+
+
+def _pi_once() -> Callable[[int], int]:
+    """pi(w) for one check: _pi at _PI_HEADROOM bits past the first scale
+    above every earlier one, shifted down for each scale below it, within 2
+    ulps as _pi is. A check asks first for log2|x|'s point, then for its sum's
+    and last for its closed form's, at most 64 bits past the sum's scale: so
+    it computes pi twice, once small for log2|x| and once for all the rest."""
+    known = [-1, 0]  # the scale and pi at it
+
+    def pi(w: int) -> int:
+        if w > known[0]:
+            known[:] = w + _PI_HEADROOM, _pi(w + _PI_HEADROOM)
+        return known[1] >> known[0] - w
+
+    return pi
+
+
+def gamma_quarter(w: int, pi: Callable[[int], int] = _pi) -> int:
     """Gamma(1/4) at scale 2^-w, from Gamma(1/4)^2 = (2 pi)^{3/2} / agm(sqrt 2, 1)."""
     g = w + 16
-    two_pi = _pi(g) << 1
+    two_pi = pi(g) << 1
     agm = _agm(_root(2 << g, 2, g), 1 << g)
     return _root(two_pi * _root(two_pi, 2, g) // agm, 2, g) >> 16
 
 
-def gamma_three_quarters(w: int) -> int:
+def gamma_three_quarters(w: int, pi: Callable[[int], int] = _pi) -> int:
     """Gamma(3/4) at scale 2^-w, by reflection: Gamma(1/4) Gamma(3/4) = pi sqrt(2)."""
     g = w + 16
-    return _pi(g) * _root(2 << g, 2, g) // gamma_quarter(g) >> 16
+    return pi(g) * _root(2 << g, 2, g) // gamma_quarter(g, pi) >> 16
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +334,8 @@ def _nstr(man: int, exp: int, n: int) -> str:
 class Route(Record):
     """c0 + c1 * (t_1 + t_2 + ...) at x = point(w).
 
-    point(w) is x at scale 2^-w. partial(point, n, wp) is t_1 + ... + t_n at
+    point(w) is x at scale 2^-w (a special value's point also takes the
+    check's pi source, see _pi_once). partial(point, n, wp) is t_1 + ... + t_n at
     x = point, at scale 2^-wp, within 2 ulps for the points here (see
     _lambert_sum and _theta_sum). log2_tail(l, k) is log2 of a proved bound
     on sum_{j>=k} |t_j| whenever log2|x| <= l (inf where none holds).
@@ -375,7 +400,8 @@ def _lambert(kind: DivisorKind, r: int, s: int, point, c0=1, c1=1) -> Route:
     A(y) = -A_r(-y) for HAT. |A(y)| <= A_r(|y|) <= C|y| for |y| <= |x| with
     C = A_r(|x|)/|x|, and for d >= k consecutive bounds C d^s |x|^d have
     ratio at most (1+1/k)^s |x|; summing that geometric series gives the
-    tail bound C k^s |x|^k / (1 - (1+1/k)^s |x|).
+    tail bound C k^s |x|^k / (1 - (1+1/k)^s |x|). The partial sums are
+    summed as power series in x with integer coefficients (_lambert_sum).
     """
     a = _A[r]
 
@@ -400,38 +426,100 @@ def _unit_lambert(kind: DivisorKind, s: int, point) -> Route:
     return _lambert(kind, 0, s, point, c1=int(1 / boundary_value(kind, s)))
 
 
-def _lambert_sum(kind: DivisorKind, r: int, s: int, x: int, n: int, w: int) -> int:
-    """The first n terms sgn(d) d^s A(x^d) of _lambert at x 2^-w, in one
-    fixed-point pass, at scale 2^-w; _lambert's partial takes
-    w = wp + (s+1) ceil(log2 N) + 8 for N = n + 1 and rounds the sum down to
-    scale 2^-wp.
+def _lambert_coefficients(kind: DivisorKind, r: int, s: int, n: int, m_max: int) -> list[int]:
+    """[c_0, ..., c_M] for M = m_max, where sum_{d<=n} sgn(d) d^s A(x^d) of
+    _lambert is sum_{m>=1} c_m x^m.
 
-    Every quantity is an integer multiple of u = 2^-w, rounded down: x^d by
-    repeated multiplication by x, then for y = +-x^d one division
-    a = y/(1-y), A_0 = a, A_1 = a(1+a) and A_2 = A_1(1+2a). d^s and the
-    signs are exact.
-
-    Rounding bound, for nu = 1/(1 - |x| - u) > 0 and 3 nu^2 u <= 1: Y u is
-    within 2 nu u of x^d (each step adds at most 2u and scales the error by
-    at most |x| + u); |da/dy| <= nu^2 puts a within 3 nu^3 u of its exact
-    value; |1+a| <= nu, |1+2a| <= 2 nu and |A_1| <= nu^2 then put A_r within
-    c_r nu^(r+3) ulps, c = (3, 10, 47). As sum_{d<=n} d^s <= N^(s+1) <=
-    2^((s+1) ceil(log2 N)), the integer sum is within c_r nu^(r+3) N^(s+1)
-    ulps of the exact sum at x, which is c_r nu^(r+3) 2^-(wp+8): below
-    2^-wp while c_r nu^(r+3) < 256, as for every |x| <= e^-pi (nu < 1.05).
+    c_m sums d^s (m/d)^r over the divisors d <= n of m, signed by (-1)^(d-1)
+    for TILDE and by (-1)^(m/d-1) for HAT, since there
+    A(y) = -A_r(-y) = sum_k (-1)^(k-1) k^r y^k. As d^s (m/d)^r = m^r d^(s-r),
+    for s >= r that is m^r sigma_{s-r}(m) in the same flavor; for s < r it is
+    m^s sigma_{r-s}(m) summed over the codivisors m/d, which swaps the TILDE
+    and HAT signs. The divisors d > n are then taken out again.
     """
-    one = 1 << w
-    total, y = 0, one
-    for d in range(1, n + 1):
-        y = (y * x) >> w
-        v = -y if kind is HAT else y
-        a = (v << w) // (one - v)
-        big_a = a if r == 0 else (a * (one + a)) >> w
-        if r == 2:
-            big_a = (big_a * (one + 2 * a)) >> w
-        t = d**s * big_a
-        total += -t if kind is HAT or (kind is TILDE and d % 2 == 0) else t
-    return total
+    lo, hi = min(r, s), max(r, s)
+    flavor = kind if s >= r or kind is PLAIN else (HAT if kind is TILDE else TILDE)
+    c = divisor_sum_table(flavor, hi - lo, m_max)
+    if lo:
+        c = [m**lo * v for m, v in enumerate(c)]
+    for d in range(n + 1, m_max + 1):
+        ds = -(d**s) if kind is TILDE and d % 2 == 0 else d**s
+        for k in range(1, m_max // d + 1):
+            c[d * k] -= -ds * k**r if kind is HAT and k % 2 == 0 else ds * k**r
+    return c
+
+
+def _lambert_sum(kind: DivisorKind, r: int, s: int, x: int, n: int, w: int) -> int:
+    """The first n terms sgn(d) d^s A(x^d) of _lambert at x 2^-w, |x| < 2^w,
+    at scale 2^-w and within 2^b + 1 ulps for b = (s+1) bitlen(n): the
+    budget of the b + 8 guard bits that _lambert's partial adds to wp before
+    it rounds the sum down to scale 2^-wp, which leave 2^-8 ulps of 2^-wp.
+
+    The sum is sum_{m<=M} c_m x^m with the integer c_m of
+    _lambert_coefficients, summed at scale 2^-W, W = w - b + g, by
+    rectangular splitting (Paterson-Stockmeyer, SIAM J. Comput. 2, 1973;
+    Smith, ACM TOMS 15, 1989): for J = isqrt(M) + 1, the powers p_j of x^j
+    (j <= J) each come from the one before by one product with x, rounded
+    down; block i is B_i = sum_{j<J} c_{iJ+j} p_j, exact products of a small
+    int and a big one; and Horner's rule S_i = S_{i+1} G 2^-W + B_i, rounded
+    down, with G = p_J, sums the K = M//J + 1 blocks. That is J + K full
+    products, about 2 sqrt(M), and no division.
+
+    The cut: |c_m| <= m^r sum_{d<=n} d^s <= m^r n^(s+1), and past k = M + 1
+    consecutive bounds m^r |x|^m have ratio at most (1+1/k)^r |x|, so the
+    terms past x^M sum to at most n^(s+1) k^r |x|^k / (1 - (1+1/k)^r |x|).
+    M is the first for which that is at most 2^(b-1) ulps of 2^-w, with
+    log2|x| rounded up as in check_special.
+
+    Rounding, in ulps of 2^-W, for nu = 1/(1 - |x|) and rho = |x|^J: p_j is
+    within e_j < nu of x^j (e_j <= |x| e_{j-1} + 1, e_0 = 0), so B_i is
+    within nu alpha_i of its exact value, alpha_i = sum_{j<J} |c_{iJ+j}|. A
+    Horner step adds its rounding (below 1), B_i's error, and e_J times
+    |S_{i+1}| 2^-W <= sum_{l>i} alpha_l rho^(l-i-1) plus S_{i+1}'s own
+    error; every later step scales what a step adds by x^J, and
+    sum_i rho^i <= nu. So the error is at most
+        E = 2 nu (1 + alpha_0 + sum_{i>=1} (i + rho) rho^(i-1) alpha_i),
+    the 2 covering the errors' feedback through |S_{i+1}| while
+    nu^2 <= 2^(W-1), which holds when nu <= 2^(w-b+2), as 2^g > 8 nu. E is
+    evaluated in floats and g is its binary exponent plus 2, so that 2E is
+    below 2^(g-1) with a factor 2 to spare for their rounding: S_0 is within
+    2^(b-1) ulps of 2^-w of the cut sum, which is within 2^(b-1) ulps of the
+    n-term sum, and bringing S_0 to scale 2^-w adds at most one more.
+    """
+    ax = abs(x)
+    if not n or not ax:
+        return 0
+    b = (s + 1) * n.bit_length()
+    log2_x = math.log2(ax) - w + _LOG2_SLACK
+    nu = (1 << w) / ((1 << w) - ax)
+    if log2_x >= 0 or math.log2(nu) > w - b + 2:
+        raise ValueError("_lambert_sum needs |x| < 1 - 2^-(w-b+2)")
+    log2_c = (s + 1) * math.log2(n) + w - b + 1  # the cut's target is 2^(b-1-w)
+
+    def log2_cut(k):
+        ratio = (1 + 1 / k) ** r * 2.0**log2_x
+        if ratio >= 1:
+            return math.inf
+        return log2_c + r * math.log2(k) + k * log2_x - math.log2(1 - ratio)
+
+    k = max(1, int(log2_c / -log2_x))  # no smaller k meets the target
+    while not log2_cut(k) <= 0:
+        k += 1
+    m = k - 1
+    c = _lambert_coefficients(kind, r, s, n, m)
+    j = math.isqrt(m) + 1
+    blocks = [c[i : i + j] for i in range(0, m + 1, j)]
+    alpha = [float(sum(map(abs, blk))) for blk in blocks]
+    rho = (ax / (1 << w)) ** j
+    e = 1 + alpha[0] + sum((i + rho) * rho ** (i - 1) * a for i, a in enumerate(alpha[1:], 1))
+    big_w = w - b + math.frexp(2 * nu * e)[1] + 2
+    powers = [1 << big_w]
+    for _ in range(j):
+        powers.append(powers[-1] * x >> w)
+    total = 0
+    for blk in reversed(blocks):
+        total = (total * powers[j] >> big_w) + sum(map(operator.mul, blk, powers))
+    return total << w - big_w if w >= big_w else total >> big_w - w
 
 
 def _theta_terms(u: int, v: int):
@@ -512,30 +600,31 @@ def _theta_sum(u: int, v: int, x: int, n: int, w: int) -> int:
 # the closed forms
 
 
-# each base at scale 2^-w, within 50 ulps (e^pi: pi's 2 ulps times e^pi),
-# far inside _CLOSED_GUARD; the radicals as sums of k^(1/n)
-_BASES: dict[str, Callable[[int], int]] = {
-    "two": lambda w: 2 << w,
-    "three": lambda w: 3 << w,
-    "pi": _pi,
+# each base at scale 2^-w, given w and a pi(w) such as _pi, within 50 ulps
+# (e^pi: pi's 2 ulps times e^pi), far inside _CLOSED_GUARD; the radicals as
+# sums of k^(1/n)
+_BASES: dict[str, Callable[[int, Callable[[int], int]], int]] = {
+    "two": lambda w, pi: 2 << w,
+    "three": lambda w, pi: 3 << w,
+    "pi": lambda w, pi: pi(w),
     "gamma": gamma_three_quarters,  # Gamma(3/4)
-    "e_pi": lambda w: _exp(_pi(w), w),
+    "e_pi": lambda w, pi: _exp(pi(w), w),
     # 1 + sqrt3 + sqrt2 3^(1/4)
-    "a": lambda w: (1 << w) + _root(3 << w, 2, w) + _root(12 << w, 4, w),
+    "a": lambda w, pi: (1 << w) + _root(3 << w, 2, w) + _root(12 << w, 4, w),
     # 2 sqrt3 - 3
-    "b": lambda w: _root(12 << w, 2, w) - (3 << w),
+    "b": lambda w, pi: _root(12 << w, 2, w) - (3 << w),
     # 1 + sqrt3 + sqrt2 3^(3/4)
-    "c": lambda w: (1 << w) + _root(3 << w, 2, w) + _root(108 << w, 4, w),
+    "c": lambda w, pi: (1 << w) + _root(3 << w, 2, w) + _root(108 << w, 4, w),
     # 2 + sqrt3 + (sqrt2 + sqrt6)/2 3^(3/4) = 2 + sqrt3 + (27/4)^(1/4) + (243/4)^(1/4)
-    "d": lambda w: (2 << w) + _root(3 << w, 2, w) + _root(27 << w - 2, 4, w)
+    "d": lambda w, pi: (2 << w) + _root(3 << w, 2, w) + _root(27 << w - 2, 4, w)
     + _root(243 << w - 2, 4, w),
-    "rt3p1": lambda w: (1 << w) + _root(3 << w, 2, w),  # 1 + sqrt3
+    "rt3p1": lambda w, pi: (1 << w) + _root(3 << w, 2, w),  # 1 + sqrt3
 }
 
 
-def _closed(coeff, **powers) -> Callable[[int], int]:
+def _closed(coeff, **powers) -> Callable[..., int]:
     """coeff * prod base^power over the named _BASES, as a function of w
-    returning the value at scale 2^-w.
+    (and of the pi source, _pi by default) returning the value at scale 2^-w.
 
     Each power n/d is the base's d-th root raised to |n|, multiplied into a
     numerator or a denominator, and the quotient is taken once. All of it
@@ -545,12 +634,12 @@ def _closed(coeff, **powers) -> Callable[[int], int]:
     coeff = Fraction(coeff)
     factors = [(_BASES[name], Fraction(p)) for name, p in powers.items()]
 
-    def closed(w: int) -> int:
+    def closed(w: int, pi: Callable[[int], int] = _pi) -> int:
         g = w + _CLOSED_GUARD
         num, den = coeff.numerator << g, coeff.denominator << g
         for base, p in factors:
             k = abs(p.numerator)
-            f = _root(base(g), p.denominator, g) ** k >> (k - 1) * g
+            f = _root(base(g, pi), p.denominator, g) ** k >> (k - 1) * g
             if p > 0:
                 num = num * f >> g
             else:
@@ -576,7 +665,7 @@ class SpecialValue(Record):
         statement: str,
         source: str,
         route: Route,
-        closed: Callable[[int], int],  # w -> the closed form at scale 2^-w
+        closed: Callable[..., int],  # w[, pi] -> the closed form at scale 2^-w
         zero_target: bool = False,  # compare absolutely when the target is 0
         note: Optional[str] = None,
     ):
@@ -585,9 +674,10 @@ class SpecialValue(Record):
             object.__setattr__(self, name, value)
 
 
-def _point(k: int, sign: int = 1) -> Callable[[int], int]:
-    """x = sign e^(-k pi) at scale 2^-w, as a function of w."""
-    return lambda w: sign * _exp(-k * _pi(w), w)
+def _point(k: int, sign: int = 1) -> Callable[..., int]:
+    """x = sign e^(-k pi) at scale 2^-w, as a function of w (and of the pi
+    source, _pi by default)."""
+    return lambda w, pi=_pi: sign * _exp(-k * pi(w), w)
 
 
 def _specials() -> dict[str, SpecialValue]:
@@ -654,7 +744,7 @@ def _specials() -> dict[str, SpecialValue]:
     quarter_over_pi = _closed("1/4", pi=-1)
     phi_cases = [
         ("ct5.phi01", 0, 1, "Phi~_{0,1}(-e^{-pi}) = 1/(4 pi) - 1/8",
-         lambda w: quarter_over_pi(w) - (1 << w >> 3), None),
+         lambda w, pi=_pi: quarter_over_pi(w, pi) - (1 << w >> 3), None),
         ("ct5.phi05", 0, 5, "Phi~_{0,5}(-e^{-pi}) = -1/8", _closed("-1/8"), None),
         ("ct5.phi16", 1, 6, "Phi~_{1,6}(-e^{-pi}) = -pi^4 / (16 Gamma(3/4)^16)",
          _closed("-1/16", pi=4, gamma=-16), None),
@@ -754,11 +844,16 @@ def check_special(id_: str, precision: int) -> dict:
         raise KeyError(f"unknown special value {id_!r}; known ids: {known}")
     sv = SPECIALS[id_]
     route = sv.route
-    log2_x = _log2(route.point) + _LOG2_SLACK
+    pi = _pi_once()
+
+    def point(w: int) -> int:
+        return route.point(w, pi)
+
+    log2_x = _log2(point) + _LOG2_SLACK
     n, log2_bound = route.stop(log2_x, precision + _STOP_MARGIN)
     wp = math.ceil(-log2_bound) + _GUARD_BITS
-    got = (route.c0 << wp) + route.c1 * route.partial(route.point, n - 1, wp)
-    want = sv.closed(wp)
+    got = (route.c0 << wp) + route.c1 * route.partial(point, n - 1, wp)
+    want = sv.closed(wp, pi)
     abs_err = abs(got - want)
     rel_err = _div(abs_err, -wp, abs(want), -wp, 2 * _PRINT_BITS) if want else (abs_err, -wp)
     scale = 1 << wp if sv.zero_target else abs(want)

@@ -316,6 +316,28 @@ def test_eval_golden_output(capsys):
     assert digest.hexdigest() == EVAL_GOLDEN
 
 
+# sha256 of "ARGV\nEXIT\nSTDOUT\nSTDERR\n" for convolve --identity ID --nmax N
+# [--format json], for each convolution entry in registry order, N = 0 and 1,
+# text then json; recorded while the pointwise sides used trial division per
+# weight and convolution_sequence multiplied each factor in one at a time
+CONVOLVE_SMALL_GOLDEN = "d3003b028278af99da5ccaa70ea62d8f9a3d30e15d14dcbf336f8792e9708754"
+
+
+def test_convolve_at_nmax_0_and_1_is_pinned(capsys):
+    # the vacuous bounds exit 2 with the same message, the others compare
+    # the first one or two coefficients
+    digest = hashlib.sha256()
+    for ident in I.registry():
+        if ident.kind != "convolution":
+            continue
+        for n_max in ("0", "1"):
+            for fmt in ((), ("--format", "json")):
+                argv = ["convolve", "--identity", ident.id, "--nmax", n_max, *fmt]
+                code, out, err = outcome(capsys, argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == CONVOLVE_SMALL_GOLDEN
+
+
 def outcome(capsys, argv):
     """main's exit status, whether returned or raised, with stdout and stderr."""
     try:

@@ -1,6 +1,7 @@
 """Divisor-sum flavors against literal enumeration, boundaries, convolutions."""
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -15,7 +16,9 @@ from qram.divisors import (
     convolution_sequence,
     divisor_sum,
     divisor_sum_table,
+    pointwise_tables,
 )
+from qram import series as S
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
 KINDS = (PLAIN, TILDE, HAT)
@@ -58,6 +61,46 @@ def test_sieve_table_matches_pointwise_everywhere():
             table = divisor_sum_table(kind, s, n_max)
             assert table[0] == 0
             assert table[1:] == [divisor_sum(kind, s, n) for n in range(1, n_max + 1)]
+
+
+def test_pointwise_tables_match_trial_division_everywhere():
+    # one factorisation per n serves every pair; s = 0 takes the k-term
+    # geometric sums, where the closed form (t^k - 1)/(t - 1) has t = 1
+    n_max = 2000
+    pairs = [(kind, s) for kind in KINDS for s in range(8)]
+    for (kind, s), table in zip(pairs, pointwise_tables(pairs, n_max)):
+        assert table[0] == 0
+        assert table[1:] == [divisor_sum(kind, s, n) for n in range(1, n_max + 1)], (kind, s)
+
+
+def test_hat_sums_are_not_odd_divisor_sums_past_s_1():
+    # sigma^_s(2^a m) = sigma_s(m) (2^(as) - sum_{j<a} 2^(js)), m odd; only
+    # at s = 1 is that the odd-divisor sum sigma_1(m)
+    hat3, hat1 = pointwise_tables([(HAT, 3), (HAT, 1)], 6)
+    assert (hat3[2], hat3[6]) == (7, 196)
+    assert (naive(PLAIN, 3, 1), naive(PLAIN, 3, 3)) == (1, 28)
+    assert hat1[1:] == [1, 1, 4, 1, 6, 4]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[(HAT, 1)] * 3, [(HAT, 1)] * 4, [(HAT, 1), (TILDE, 5)], [(HAT, 1), (PLAIN, 3), (HAT, 1)]],
+    ids=["hat^3", "hat^4", "hat*tilde5", "hat*plain3*hat"],
+)
+def test_convolution_sequence_powers_match_the_plain_product(terms):
+    # repeated factors are squared, not multiplied in one at a time: the
+    # same series as the left-to-right product of every factor, and as the
+    # brute-force convolution at each n
+    n_max = 30
+    factors = [
+        S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
+        for kind, s in terms
+    ]
+    seq = convolution_sequence(terms, n_max)
+    assert seq == reduce(S.mul, factors)
+    assert [seq[n] for n in range(n_max + 1)] == [
+        convolution(terms, n) for n in range(n_max + 1)
+    ]
 
 
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 5))

@@ -23,6 +23,7 @@ from qram.numeric import (
     _agm,
     _exp,
     _lambert,
+    _lambert_coefficients,
     _lambert_sum,
     _ln2_ln10,
     _log2,
@@ -280,7 +281,37 @@ def test_stop_index_and_tail_bound_are_pinned():
     assert digest.hexdigest() == STOPS_GOLDEN
 
 
-_KERNEL_C = (3, 10, 47)  # c_r of _lambert_sum's rounding bound
+def _brute_coefficients(kind, r, s, n, m_max):
+    """c_0..c_M of sum_{d<=n} sgn(d) d^s A(x^d) by expanding each term: the
+    double loop over d and the k-th power of x^d in A(y) = sum_k k^r y^k
+    (for HAT, A(y) = -A_r(-y) = sum_k (-1)^(k-1) k^r y^k)."""
+    c = [0] * (m_max + 1)
+    for d in range(1, n + 1):
+        for k in range(1, m_max // d + 1):
+            t = d**s * k**r
+            if (kind is TILDE and d % 2 == 0) or (kind is HAT and k % 2 == 0):
+                t = -t
+            c[d * k] += t
+    return c
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(list(DivisorKind)),
+    r=st.integers(0, 2),
+    s=st.integers(0, 7),
+    n=st.integers(0, 80),
+    extra=st.integers(-40, 200),
+)
+@example(kind=TILDE, r=2, s=1, n=30, extra=90)  # s < r, M = 4n
+@example(kind=HAT, r=2, s=1, n=25, extra=60)
+@example(kind=HAT, r=0, s=5, n=40, extra=45)  # M >= 2n: d > n has k >= 2
+@example(kind=DivisorKind.PLAIN, r=1, s=0, n=1, extra=20)
+def test_lambert_coefficients_match_the_double_loop(kind, r, s, n, extra):
+    m_max = max(n + extra, 0)
+    assert _lambert_coefficients(kind, r, s, n, m_max) == _brute_coefficients(
+        kind, r, s, n, m_max
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,23 +329,27 @@ _KERNEL_C = (3, 10, 47)  # c_r of _lambert_sum's rounding bound
 @example(kind=TILDE, r=2, s=13, x=0.9, bits=256)
 @example(kind=HAT, r=1, s=7, x=-0.9, bits=512)
 @example(kind=TILDE, r=2, s=13, x=0.95, bits=2048)
+@example(kind=TILDE, r=2, s=1, x=0.9, bits=64)  # s < r near the unit radius
+@example(kind=TILDE, r=1, s=6, x=-math.exp(-math.pi), bits=4096)
+@example(kind=TILDE, r=2, s=7, x=-math.exp(-math.pi), bits=4096)
+@example(kind=HAT, r=0, s=1, x=-math.exp(-math.pi), bits=4096)
+@example(kind=DivisorKind.PLAIN, r=0, s=3, x=math.exp(-2 * math.pi), bits=4096)
+@example(kind=TILDE, r=0, s=13, x=-math.exp(-math.pi), bits=4096)
 def test_lambert_sum_within_its_rounding_bound(kind, r, s, x, bits):
     # the sum check_special would make at `bits`, at the scale 2^-w the route
     # sums at, against the termwise oracle at 256 bits past w: |t_d| < 2^100
     # for |x| <= 0.95 and s <= 13, so the oracle's own rounding stays far
-    # below the bound
+    # below the bound of 2^b + 1 ulps, b = (s+1) bitlen(n)
     route = _lambert(kind, r, s, _fixed(x))
     n, log2_bound = _stop(route, bits)
     wp = math.ceil(-log2_bound) + 64
-    w = wp + (s + 1) * (n - 1).bit_length() + 8
+    b = (s + 1) * (n - 1).bit_length()
+    w = wp + b + 8
     xw = route.point(w)
     got = _mpf(_lambert_sum(kind, r, s, xw, n - 1, w), w)
     with mp.workprec(w + 256):
         want = _oracle_partial(kind, r, s)(_mpf(xw, w), n - 1)
-        nu = 1 / (1 - abs(mp.mpf(x)) - mp.mpf(2) ** -(wp + 8))
-        bound = _KERNEL_C[r] * nu ** (r + 3) * mp.mpf(2) ** -(wp + 8)
-        # plus the final rounding to wp bits
-        bound += (abs(want) + bound) * mp.mpf(2) ** -wp
+        bound = (2**b + 1) * mp.mpf(2) ** -w
         assert abs(got - want) <= bound, (n, wp, got - want, bound)
 
 
@@ -377,7 +412,7 @@ def test_root_closed_forms_match_power_forms(wp):
         bases, closed = _power_forms()
         assert sorted(closed) == sorted(SPECIALS)
         new = [_mpf(SPECIALS[id_].closed(wp), wp) for id_ in sorted(closed)]
-        new_parts = [_mpf(_BASES[name](wp), wp) for name in sorted(bases)]
+        new_parts = [_mpf(_BASES[name](wp, _pi), wp) for name in sorted(bases)]
         old = [closed[id_] for id_ in sorted(closed)]
         old_parts = [bases[name] for name in sorted(bases)]
         for got, want in zip(new + new_parts, old + old_parts):
