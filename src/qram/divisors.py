@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -238,7 +237,8 @@ def convolution_sequence(terms: list[tuple[DivisorKind, int]], n_max: int):
     if not terms:
         raise ValueError("convolution_sequence: empty term list")
     powers = []
-    for (kind, s), k in Counter(terms).items():
+    for kind, s in dict.fromkeys(terms):
+        k = terms.count((kind, s))
         f = S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
         power = f if k & 1 else None
         while k > 1:

@@ -335,9 +335,9 @@ class Route(Record):
     """c0 + c1 * (t_1 + t_2 + ...) at x = point(w).
 
     point(w) is x at scale 2^-w (a special value's point also takes the
-    check's pi source, see _pi_once). partial(point, n, wp) is t_1 + ... + t_n at
-    x = point, at scale 2^-wp, within 2 ulps for the points here (see
-    _lambert_sum and _theta_sum). log2_tail(l, k) is log2 of a proved bound
+    check's pi source, see _pi_once). partial(point, n, wp) is
+    t_1 + ... + t_n at x = point, at scale 2^-wp, within 2 ulps for the
+    points here (see _lambert_sum and _theta_sum). log2_tail(l, k) is log2 of a proved bound
     on sum_{j>=k} |t_j| whenever log2|x| <= l (inf where none holds).
     """
 
