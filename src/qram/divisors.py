@@ -32,6 +32,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import sub
 
 
 class DivisorKind(enum.Enum):
@@ -132,25 +133,28 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     """[sigma_s(0..n_max)] as ints, with a sieve; index 0 holds 0, not the
     boundary value.
 
-    Each divisor d up to n_max/2 adds its signed d^s to its multiples
-    table[d::d] in one slice assignment; for HAT the sign follows the
-    codivisor m/d, so the odd multiples table[d::2d] gain d^s and the even
-    ones table[2d::2d] lose it. A larger d divides only itself, where the
-    codivisor 1 is odd, so it is added on its own. O(n_max log n_max)
-    additions, for dense consumers (Lambert coefficients, bulk property
-    checks). Pointwise values agree with divisor_sum for n >= 1.
+    Each divisor d up to n_max/2 adds d^s to its multiples table[d::d] in one
+    slice assignment; a larger d divides only itself, so it is added on its
+    own. O(n_max log n_max) additions, for dense consumers (Lambert
+    coefficients, bulk property checks). A signed flavor then takes one pass
+    over the even n, from the plain values: the even divisors of n are 2d
+    for d | n/2, and the divisors d with n/d even are the divisors of n/2, so
+
+        sigma~_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2),
+        sigma^_s(n) = sigma_s(n) - 2 sigma_s(n/2),
+
+    and odd n have no even divisor or codivisor, so all three flavors agree
+    there. Pointwise values agree with divisor_sum for n >= 1.
     """
     table = [0] * (n_max + 1)
-    tilde = kind is DivisorKind.TILDE
     for d in range(1, n_max // 2 + 1):
-        ds = -(d**s) if tilde and d % 2 == 0 else d**s
-        if kind is DivisorKind.HAT:
-            table[d::2 * d] = map(ds.__add__, table[d::2 * d])
-            table[2 * d::2 * d] = map((-ds).__add__, table[2 * d::2 * d])
-        else:
-            table[d::d] = map(ds.__add__, table[d::d])
+        ds = d**s
+        table[d::d] = map(ds.__add__, table[d::d])
     for d in range(n_max // 2 + 1, n_max + 1):
-        table[d] += -(d**s) if tilde and d % 2 == 0 else d**s
+        table[d] += d**s
+    if kind is not DivisorKind.PLAIN:
+        k = 2 ** (s + 1) if kind is DivisorKind.TILDE else 2
+        table[2::2] = map(sub, table[2::2], map(k.__mul__, table[1 : n_max // 2 + 1]))
     return table
 
 

@@ -8,7 +8,8 @@ arguments, and the double Lambert sums Phi_{r,s} / Phi~_{r,s}.
 
 Two shapes cover them. The families and f(a, b) are theta sums on quadratic
 exponents, all placed by one kernel, _theta_sum. The rest are Lambert series
-from series.lambert; Phi_{r,s} is one of them raised by the q d/dq
+on the sieved divisor sums: the generators scale theirs to constant term 1
+(_unit_lambert), and Phi_{r,s} is series.lambert raised by the q d/dq
 recurrence.
 
 All builders take an explicit truncation order and return exact Series.
@@ -20,13 +21,16 @@ import re
 from itertools import count
 
 from . import series as S
-from .divisors import DivisorKind, boundary_value
+from .divisors import DivisorKind, boundary_value, divisor_sum_table
 
 
 def _unit_lambert(kind: DivisorKind, s: int, order: int) -> S.Series:
-    """c (b + sum sigma_s(n) q^n) with b the boundary value and c = 1/b."""
+    """c (b + sum sigma_s(n) q^n) with b the boundary value and c = 1/b: the
+    numerators den(c), num(c) sigma_s(1), ... over den(c), in one pass over
+    the sieved table."""
     c = 1 / boundary_value(kind, s)
-    return S.add(S.one(order), S.scale(c, S.lambert(kind, s, order)))
+    table = divisor_sum_table(kind, s, order)
+    return S.Series((c.denominator,) + tuple(map(c.numerator.__mul__, table[1:])), c.denominator)
 
 
 def eisenstein(k: int, order: int) -> S.Series:

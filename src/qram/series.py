@@ -6,6 +6,14 @@ Mixing two orders silently truncates to the smaller one, and identity checks
 always compare at an explicitly requested order. Storage is dense, and a
 product is one bigint multiply by Kronecker substitution (see mul), so orders
 in the thousands stay cheap.
+
+One codec serves every Kronecker image in the package: _pack writes
+numerators a_0..a_n as the int sum a_i 2^(8wi), one signed slot of w bytes
+each, _slot_bytes picks the w that holds a given bound, and _unpack reads
+the slots back from any int congruent to such a sum modulo 2^(8w(n+1)). mul
+packs two series and unpacks their product; weighted.eval_as_series packs
+each generator once, forms a whole polynomial on the packed ints and unpacks
+once.
 """
 
 from __future__ import annotations
@@ -133,22 +141,19 @@ def mul(a: Series, b: Series) -> Series:
     c_k = sum_{i<=k} a_i b_(k-i) in slot k. c_k has at most n + 1 terms, so
     |c_k| <= (n+1) max|a| max|b|; B is a whole number of bytes with 2^(B-1)
     above that bound (max|a| and max|b| taken as at least 1, so every input
-    fits a slot too). Adding 2^(B-1) to each of the first n + 1 slots makes
-    them all nonnegative and below 2^B, so no slot borrows from the next and
-    each reads off its own bytes.
+    fits a slot too), and _unpack reads the c_k off the product.
     """
     n = min(a.order, b.order)
     xs, ys = a.nums[: n + 1], b.nums[: n + 1]
     bound = (n + 1) * max(1, *map(abs, xs)) * max(1, *map(abs, ys))
-    w = bound.bit_length() // 8 + 1  # bytes per slot: 8w > bitlen(bound)
-    half = 1 << 8 * w - 1
-    size = (n + 1) * w
-    biased = _pack(xs, w) * _pack(ys, w) + int.from_bytes(
-        half.to_bytes(w, "little") * (n + 1), "little"
-    )
-    data = (biased & (1 << 8 * size) - 1).to_bytes(size, "little")
-    out = tuple(int.from_bytes(data[i : i + w], "little") - half for i in range(0, size, w))
-    return Series(out, a.den * b.den)
+    w = _slot_bytes(bound)
+    return Series(_unpack(_pack(xs, w) * _pack(ys, w), n + 1, w), a.den * b.den)
+
+
+def _slot_bytes(bound: int) -> int:
+    """The fewest whole bytes w with 2^(8w-1) > bound: a signed slot for
+    every value of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
 
 
 def _pack(vs: tuple[int, ...], w: int) -> int:
@@ -158,6 +163,18 @@ def _pack(vs: tuple[int, ...], w: int) -> int:
     slots = b"".join([v.to_bytes(w, "little", signed=True) for v in vs])
     carries = b"".join([one if v < 0 else nil for v in vs])
     return int.from_bytes(slots, "little") - (int.from_bytes(carries, "little") << 8 * w)
+
+
+def _unpack(z: int, count: int, w: int) -> tuple[int, ...]:
+    """The c_0..c_(count-1) of any z congruent to sum c_k 2^(8wk) modulo
+    2^(8w count), given -2^(8w-1) <= c_k < 2^(8w-1). Adding 2^(8w-1) to each
+    slot makes every one nonnegative and below 2^(8w), so no slot borrows
+    from the next and each reads off its own bytes."""
+    half = 1 << 8 * w - 1
+    size = count * w
+    biased = z + int.from_bytes(half.to_bytes(w, "little") * count, "little")
+    data = (biased & (1 << 8 * size) - 1).to_bytes(size, "little")
+    return tuple(int.from_bytes(data[i : i + w], "little") - half for i in range(0, size, w))
 
 
 def euler_op(a: Series) -> Series:

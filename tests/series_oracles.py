@@ -1,12 +1,17 @@
 """Slow reference kernels on qram Series, kept only as test oracles.
 
 schoolbook_mul is the integer Cauchy product that series.mul replaced; div is
-integer long division by a unit, which no part of the package needs.
+integer long division by a unit, which no part of the package needs;
+eval_by_mul is the evaluator of weighted polynomials that
+weighted.eval_as_series replaced, one series.mul per monomial.
 """
 
+from fractions import Fraction
 from operator import mul as _imul
 
+from qram import generators as G
 from qram import series as S
+from qram.weighted import _GEN_EXPS, Exps, WeightedPoly
 
 
 def schoolbook_mul(a: S.Series, b: S.Series) -> S.Series:
@@ -33,3 +38,34 @@ def div(a: S.Series, b: S.Series) -> S.Series:
         cs.append(a.nums[k] * d**k - sum(map(_imul, bd, reversed(cs))))
     nums = tuple(c * d ** (n - k) * b.den for k, c in enumerate(cs))
     return S.Series(nums, a.den * d ** (n + 1))
+
+
+def eval_by_mul(p: WeightedPoly, order: int) -> S.Series:
+    """Substitute the generator q-expansions and expand to the given order.
+
+    Only the generators that occur in p are built, each once. Each distinct
+    monomial of degree >= 2 costs one S.mul, as its parent (last nonzero
+    exponent lowered by one) times that generator; the terms are summed on
+    the int numerators and divided by the denominator once.
+    """
+    table = {(0, 0, 0, 0): S.one(order)}
+
+    def monomial(exps: Exps) -> S.Series:
+        if exps not in table:
+            pos = max(q for q, e in enumerate(exps) if e)
+            name = "PEQR"[pos]
+            if sum(exps) == 1:
+                table[exps] = (
+                    G.hahn(name, order)
+                    if p.ring == "hahn"
+                    else G.eisenstein("PQR".index(name) + 1, order)
+                )
+            else:
+                parent = exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :]
+                table[exps] = S.mul(monomial(parent), monomial(_GEN_EXPS[name]))
+        return table[exps]
+
+    total = S.zero(order)
+    for exps, c in p.nums.items():
+        total = S.add(total, S.scale(c, monomial(exps)))
+    return S.scale(Fraction(1, p.den), total)

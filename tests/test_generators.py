@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qram import series as S
+from qram.divisors import DivisorKind, boundary_value
 from qram.generators import (
+    _HAHN_SPEC,
     MAX_NAME_INDEX,
     eisenstein,
     eps0,
@@ -69,6 +71,17 @@ def test_hahn_prefix_frozen():
     assert list(hahn("E", 4).coeffs) == [1, 24, 24, 96, 24]
     assert list(hahn("Q", 4).coeffs) == [1, -16, 112, -448, 1136]
     assert list(hahn("R", 4).coeffs) == [1, 8, -248, 1952, -8440]
+
+
+@pytest.mark.parametrize("order", [0, 1, 70, 300])
+def test_unit_lambert_matches_the_series_arithmetic(order):
+    # one pass over the sieve against 1 + (1/b) * lambert, b the boundary value
+    specs = [(eisenstein, k, DivisorKind.PLAIN, 2 * k - 1) for k in range(1, 8)]
+    specs += [(hahn, name, *_HAHN_SPEC[name]) for name in "PEQR"]
+    for build, arg, kind, s in specs:
+        c = 1 / boundary_value(kind, s)
+        want = S.add(S.one(order), S.scale(c, S.lambert(kind, s, order)))
+        assert build(arg, order) == want
 
 
 def test_family_T_exponents_and_weights():

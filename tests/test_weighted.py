@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qram import generators as G
@@ -28,6 +28,7 @@ from qram.weighted import (
     ratio_poly,
     ratio_polys,
 )
+from series_oracles import eval_by_mul
 
 
 def wp(ring, spec):
@@ -410,6 +411,52 @@ def test_eval_as_series_builds_only_the_generators_it_uses(builds):
     e, r = gen("hahn", "E"), gen("hahn", "R")
     eval_as_series((e**4).scale(15) - (e * r).scale(30), 30)
     assert sorted(builds) == [("hahn", ("E", 30)), ("hahn", ("R", 30))]
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials of degree up to 8 in either ring, with coefficients up to
+    10^30 over denominators up to 10^12; the zero and constant polynomials
+    among them."""
+    ring = draw(st.sampled_from(["classical", "hahn"]))
+    names = "PEQR" if ring == "hahn" else "PQR"
+    exps = st.lists(st.sampled_from(names), max_size=8).map(
+        lambda gens: tuple(gens.count(x) for x in "PEQR")
+    )
+    coeff = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
+    return from_terms(ring, draw(st.dictionaries(exps, coeff, max_size=6)))
+
+
+@given(wide_polys(), st.integers(0, 200))
+@example(WeightedPoly("hahn"), 0)
+@example(WeightedPoly("classical"), 200)
+@example(constant("classical", Fraction(-(10**30), 7)), 0)
+@example(constant("hahn", 10**30), 200)
+@example(gen("classical", "R") ** 8 - gen("classical", "P") ** 8, 200)
+@example(gen("hahn", "E") ** 4 * gen("hahn", "R") ** 4, 200)
+@settings(max_examples=80, deadline=None)
+def test_eval_as_series_matches_the_mul_oracle(p, order):
+    assert eval_as_series(p, order) == eval_by_mul(p, order)
+
+
+def test_eval_as_series_result_at_the_slot_bound():
+    # At order 0 every generator is the constant 1, so the one numerator is
+    # the sum of the c_e, which is the bound B when the c_e share a sign; a
+    # constant polynomial sits at B at every order. B = 2^(8w-1) - 1 fills a
+    # w-byte slot, and 2^(8w-1) needs one byte more.
+    for w in (1, 2, 3, 8):
+        for top in (2 ** (8 * w - 1) - 1, 2 ** (8 * w - 1)):
+            for sign in (1, -1):
+                c = sign * top
+                for ring, exps in (
+                    ("classical", [(1, 0, 0, 0), (0, 0, 2, 0), (3, 0, 2, 3)]),
+                    ("hahn", [(0, 1, 0, 0), (2, 0, 1, 0), (1, 2, 2, 3)]),
+                ):
+                    terms = {(0, 0, 0, 0): c - 3 * sign} | dict.fromkeys(exps, sign)
+                    assert eval_as_series(from_terms(ring, terms), 0) == S.Series((c,))
+                    for order in (1, 5):
+                        want = S.Series((c,) + (0,) * order)
+                        assert eval_as_series(constant(ring, c), order) == want
 
 
 def test_pretty_rendering():
