@@ -3,9 +3,9 @@
 Each special value pairs two fully independent computations:
 
   series route:  the defining sum itself, c0 + c1 * sum_{k>=1} t_k at a point
-                 x, evaluated from its terms (a Lambert sum's first terms as
-                 one power series in x with divisor-sum coefficients), never
-                 through the polynomial identities;
+                 x, evaluated from its terms (the first terms as one power
+                 series in x with integer coefficients), never through the
+                 polynomial identities;
   closed route:  the radical/pi/Gamma(3/4) closed form, with Gamma(3/4)
                  obtained from the arithmetic-geometric mean, not from a
                  library gamma function.
@@ -17,8 +17,9 @@ and squaring, square roots from math.isqrt, n-th roots by Newton's method,
 and the AGM (Brent, JACM 23, 1976).
 
 Every defining sum is a weighted Lambert sum or a theta sum f(x^u, x^v), each
-with a proved tail bound (_lambert, _theta) and a proved rounding bound
-(_lambert_sum, _theta_sum). check_special makes one pass: from log2|x|,
+with a proved tail bound (_lambert, _theta). The first terms of either are one
+power series in x with integer coefficients, summed by one kernel with one
+proved rounding bound (_power_sum). check_special makes one pass: from log2|x|,
 computed once at low precision, it picks the first index N at which |c1|
 times the tail bound is below 2^-(precision+16), works at a scale 64 bits
 below that bound, and sums terms 1..N-1 once. The reported error is thus the
@@ -337,8 +338,9 @@ class Route(Record):
     point(w) is x at scale 2^-w (a special value's point also takes the
     check's pi source, see _pi_once). partial(point, n, wp) is
     t_1 + ... + t_n at x = point, at scale 2^-wp, within 2 ulps for the
-    points here (see _lambert_sum and _theta_sum). log2_tail(l, k) is log2 of a proved bound
-    on sum_{j>=k} |t_j| whenever log2|x| <= l (inf where none holds).
+    points here (see _lambert_sum and _theta). log2_tail(l, k) is log2 of a
+    proved bound on sum_{j>=k} |t_j| whenever log2|x| <= l (inf where none
+    holds).
     """
 
     __slots__ = _fields = ("point", "partial", "log2_tail", "c0", "c1")
@@ -455,21 +457,49 @@ def _lambert_sum(kind: DivisorKind, r: int, s: int, x: int, n: int, w: int) -> i
     budget of the b + 8 guard bits that _lambert's partial adds to wp before
     it rounds the sum down to scale 2^-wp, which leave 2^-8 ulps of 2^-wp.
 
-    The sum is sum_{m<=M} c_m x^m with the integer c_m of
-    _lambert_coefficients, summed at scale 2^-W, W = w - b + g, by
-    rectangular splitting (Paterson-Stockmeyer, SIAM J. Comput. 2, 1973;
-    Smith, ACM TOMS 15, 1989): for J = isqrt(M) + 1, the powers p_j of x^j
-    (j <= J) each come from the one before by one product with x, rounded
-    down; block i is B_i = sum_{j<J} c_{iJ+j} p_j, exact products of a small
-    int and a big one; and Horner's rule S_i = S_{i+1} G 2^-W + B_i, rounded
-    down, with G = p_J, sums the K = M//J + 1 blocks. That is J + K full
-    products, about 2 sqrt(M), and no division.
+    The sum is sum_{m>=1} c_m x^m with the integer c_m of
+    _lambert_coefficients, cut after x^M and summed by _power_sum within
+    2^(b-1) + 1 ulps.
 
     The cut: |c_m| <= m^r sum_{d<=n} d^s <= m^r n^(s+1), and past k = M + 1
     consecutive bounds m^r |x|^m have ratio at most (1+1/k)^r |x|, so the
     terms past x^M sum to at most n^(s+1) k^r |x|^k / (1 - (1+1/k)^r |x|).
     M is the first for which that is at most 2^(b-1) ulps of 2^-w, with
     log2|x| rounded up as in check_special.
+    """
+    ax = abs(x)
+    if not n or not ax:
+        return 0
+    b = (s + 1) * n.bit_length()
+    log2_x = math.log2(ax) - w + _LOG2_SLACK
+    if log2_x >= 0:
+        raise ValueError("_lambert_sum needs log2|x| + 2^-20 < 0")
+    log2_c = (s + 1) * math.log2(n) + w - b + 1  # the cut's target is 2^(b-1-w)
+
+    def log2_cut(k):
+        ratio = (1 + 1 / k) ** r * 2.0**log2_x
+        if ratio >= 1:
+            return math.inf
+        return log2_c + r * math.log2(k) + k * log2_x - math.log2(1 - ratio)
+
+    k = max(1, int(log2_c / -log2_x))  # no smaller k meets the target
+    while not log2_cut(k) <= 0:
+        k += 1
+    return _power_sum(_lambert_coefficients(kind, r, s, n, k - 1), x, w, b)
+
+
+def _power_sum(c: list[int], x: int, w: int, b: int) -> int:
+    """sum_m c_m x^m for the ints c = [c_0, ..., c_M] at x 2^-w, at scale
+    2^-w and within 2^(b-1) + 1 ulps, for |x| 2^-w <= 1 - 2^-(w-b+2).
+
+    The sum runs at scale 2^-W, W = w - b + g, by rectangular splitting
+    (Paterson-Stockmeyer, SIAM J. Comput. 2, 1973; Smith, ACM TOMS 15,
+    1989): for J = isqrt(M) + 1, the powers p_j of x^j (j <= J) each come
+    from the one before by one product with x, rounded down; block i is
+    B_i = sum_{j<J} c_{iJ+j} p_j, exact products of a small int and a big
+    one; and Horner's rule S_i = S_{i+1} G 2^-W + B_i, rounded down, with
+    G = p_J, sums the K = M//J + 1 blocks. That is J + K full products,
+    about 2 sqrt(M), and no division.
 
     Rounding, in ulps of 2^-W, for nu = 1/(1 - |x|) and rho = |x|^J: p_j is
     within e_j < nu of x^j (e_j <= |x| e_{j-1} + 1, e_0 = 0), so B_i is
@@ -483,32 +513,17 @@ def _lambert_sum(kind: DivisorKind, r: int, s: int, x: int, n: int, w: int) -> i
     nu^2 <= 2^(W-1), which holds when nu <= 2^(w-b+2), as 2^g > 8 nu. E is
     evaluated in floats and g is its binary exponent plus 2, so that 2E is
     below 2^(g-1) with a factor 2 to spare for their rounding: S_0 is within
-    2^(b-1) ulps of 2^-w of the cut sum, which is within 2^(b-1) ulps of the
-    n-term sum, and bringing S_0 to scale 2^-w adds at most one more.
+    2^(b-1) ulps of 2^-w of the sum, and bringing S_0 to scale 2^-w adds at
+    most one more.
     """
     ax = abs(x)
-    if not n or not ax:
+    if ax << 2 > (1 << w + 2) - (1 << b):
+        raise ValueError("_power_sum needs |x| 2^-w <= 1 - 2^-(w-b+2)")
+    if not c:
         return 0
-    b = (s + 1) * n.bit_length()
-    log2_x = math.log2(ax) - w + _LOG2_SLACK
     nu = (1 << w) / ((1 << w) - ax)
-    if log2_x >= 0 or math.log2(nu) > w - b + 2:
-        raise ValueError("_lambert_sum needs |x| < 1 - 2^-(w-b+2)")
-    log2_c = (s + 1) * math.log2(n) + w - b + 1  # the cut's target is 2^(b-1-w)
-
-    def log2_cut(k):
-        ratio = (1 + 1 / k) ** r * 2.0**log2_x
-        if ratio >= 1:
-            return math.inf
-        return log2_c + r * math.log2(k) + k * log2_x - math.log2(1 - ratio)
-
-    k = max(1, int(log2_c / -log2_x))  # no smaller k meets the target
-    while not log2_cut(k) <= 0:
-        k += 1
-    m = k - 1
-    c = _lambert_coefficients(kind, r, s, n, m)
-    j = math.isqrt(m) + 1
-    blocks = [c[i : i + j] for i in range(0, m + 1, j)]
+    j = math.isqrt(len(c) - 1) + 1
+    blocks = [c[i : i + j] for i in range(0, len(c), j)]
     alpha = [float(sum(map(abs, blk))) for blk in blocks]
     rho = (ax / (1 << w)) ** j
     e = 1 + alpha[0] + sum((i + rho) * rho ** (i - 1) * a for i, a in enumerate(alpha[1:], 1))
@@ -522,17 +537,16 @@ def _lambert_sum(kind: DivisorKind, r: int, s: int, x: int, n: int, w: int) -> i
     return total << w - big_w if w >= big_w else total >> big_w - w
 
 
-def _theta_terms(u: int, v: int):
-    """The terms k != 0 of _theta(u, v) in increasing order of exponent, as
-    (side, e(k)): side 0 for k >= 1 and 1 for k <= -1, side 0 first on ties.
+def _theta_exponents(u: int, v: int):
+    """The exponents e(k), k != 0, of _theta(u, v) in increasing order.
 
-    Side 0 steps from e(k-1) to e(k) by u k + v (k-1), each step u + v more
-    than the one before; side 1 likewise with u and v swapped.
+    Side k >= 1 steps from e(k-1) to e(k) by u k + v (k-1), each step u + v
+    more than the one before; side k <= -1 likewise with u and v swapped.
     """
     nxt, step = [u, v], [u, v]
     while True:
         side = 0 if nxt[0] <= nxt[1] else 1
-        yield side, nxt[side]
+        yield nxt[side]
         step[side] += u + v
         nxt[side] += step[side]
 
@@ -544,56 +558,31 @@ def _theta(u: int, v: int, point) -> Route:
     e(k) and e(-k) are each strictly increasing integers for k >= 1. The
     terms for k != 0 come in increasing order of e, both sides merged, so the
     exponents left from the k-th term e_k on are, on each side, distinct
-    integers >= e_k: the tail bound is 2 |x|^e_k / (1 - |x|).
+    integers >= e_k: the tail bound is 2 |x|^e_k / (1 - |x|). The partial
+    sum of the first n terms is the power series with coefficient c_e the
+    number of e_k = e, k <= n, summed by _power_sum with b = 1 at 9 bits past
+    wp: within 2 ulps there, below one ulp of 2^-wp before the final
+    rounding down.
     """
-    terms = _theta_terms(u, v)
+    exponents = _theta_exponents(u, v)
     known: list[int] = []  # the exponents so far: e_k is known[k - 1]
 
+    def first(n):
+        """e_1, ..., e_n."""
+        known.extend(islice(exponents, max(n - len(known), 0)))
+        return known[:n]
+
     def partial(point, n, wp):
-        w = wp + 3 * n.bit_length() + 8
-        return _theta_sum(u, v, point(w), n, w) >> (w - wp)
+        es = first(n)
+        c = [0] * (es[-1] + 1 if es else 0)
+        for e in es:
+            c[e] += 1
+        return _power_sum(c, point(wp + 9), wp + 9, 1) >> 9
 
     def log2_tail(log2_x, k):
-        while len(known) < k:
-            known.append(next(terms)[1])
-        return 1 + known[k - 1] * log2_x - math.log2(1 - 2.0**log2_x)
+        return 1 + first(k)[-1] * log2_x - math.log2(1 - 2.0**log2_x)
 
     return Route(point, partial, log2_tail)
-
-
-def _theta_sum(u: int, v: int, x: int, n: int, w: int) -> int:
-    """The first n terms x^e_k of _theta(u, v) at x 2^-w, at scale 2^-w;
-    _theta's partial takes w = wp + 3 bitlen(n) + 8 and rounds the sum down
-    to scale 2^-wp.
-
-    Each side steps its power by the ratio x^(e(k) - e(k-1)) of
-    _theta_terms, and each ratio is the one before times x^(u+v), so a term
-    costs two products.
-
-    Rounding bound, for |x| < 1: every value is then below 1 in size, every
-    product is rounded down once, and an error times a value below 1 in size
-    does not grow. So x^j, by j - 1 products, is within j - 1 ulps; the k-th
-    ratio of a side within k(u+v) ulps; the side's k-th power within
-    sum_{j<=k} (j(u+v) + 1) <= (u+v+1) k^2 ulps; and the n-term sum, at most
-    n terms a side, within 2(u+v+1) n^3 ulps. For u + v <= 6 that is below
-    2^(3 bitlen(n) + 4) ulps, so partial's sum is within 2^-(wp+4) of the
-    exact sum at x before its final rounding.
-    """
-
-    def power(j):
-        p = x
-        for _ in range(j - 1):
-            p = p * x >> w
-        return p
-
-    step = power(u + v)
-    powers, ratios = [1 << w, 1 << w], [power(u), power(v)]
-    total = 0
-    for side, _ in islice(_theta_terms(u, v), n):
-        powers[side] = powers[side] * ratios[side] >> w
-        ratios[side] = ratios[side] * step >> w
-        total += powers[side]
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, output stability."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -281,6 +282,16 @@ def test_golden_output(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
 
+def test_output_digest_prints_the_golden_list_line():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", script)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    command = "list --format json"
+    assert command.split() in digest.commands(SPECIALS)
+    assert digest.digest_line(main, command.split()) == f"{GOLDEN[command]} 0 {command}"
+
+
 # sha256 of the concatenated stdout of derive --family FAM --index N --format json
 # for FAM in T, F, psi, eps and N = 0..12, in that order
 DERIVE_GOLDEN = "34c97af5979bdac14b6e24dee4ac3de76f236903e87023be8a5749e8d5f55d02"
@@ -302,18 +313,29 @@ def test_derive_golden_output(capsys):
 # for P in 64, 256, 1024 and each special-value id in sorted order; recorded
 # while the Lambert sums were still summed term by term in mpf
 EVAL_GOLDEN = "b03808e9a068f5d0050f4a9a271b5d3e623e370ed4c20b5e1652fb2de0125a15"
+# the same digest for P in 2048 and 4096, recorded while the theta sums were
+# summed by stepping each power from the one before
+EVAL_WIDE_GOLDEN = "67354fe998ea63a7af9a56db8c977113ec287dee0e0a056f7f2f26411ce4311f"
 
 
-def test_eval_golden_output(capsys):
+def _eval_digest(capsys, precisions):
     digest = hashlib.sha256()
-    for bits in ("64", "256", "1024"):
+    for bits in precisions:
         for id_ in sorted(SPECIALS):
             code, out, _ = run(
                 capsys, "eval", "--value", id_, "--precision", bits, "--format", "json"
             )
             assert code == 0
             digest.update(out.encode())
-    assert digest.hexdigest() == EVAL_GOLDEN
+    return digest.hexdigest()
+
+
+def test_eval_golden_output(capsys):
+    assert _eval_digest(capsys, ("64", "256", "1024")) == EVAL_GOLDEN
+
+
+def test_eval_wide_precisions_are_pinned(capsys):
+    assert _eval_digest(capsys, ("2048", "4096")) == EVAL_WIDE_GOLDEN
 
 
 # sha256 of "ARGV\nEXIT\nSTDOUT\nSTDERR\n" for convolve --identity ID --nmax N

@@ -29,9 +29,9 @@ from qram.numeric import (
     _log2,
     _nstr,
     _pi,
+    _power_sum,
     _root,
     _theta,
-    _theta_sum,
     check_all_specials,
     check_special,
     gamma_quarter,
@@ -215,12 +215,14 @@ THETA_IDS = (
 )
 
 
-def _exponents(route, n):
-    """The exponents in the first n terms of a theta route, read off at x = 2:
-    products of powers of 2 are exact in fixed point."""
-    v = route.partial(lambda w: 2 << w, n, 0)
-    assert v.bit_length() <= 4096
-    return {i for i in range(v.bit_length()) if v >> i & 1}
+def _exponents(route, n, wp=4096):
+    """The exponents in the first n terms of a theta route, read off at
+    x = 1/2: products of powers of 2 are exact in fixed point, and the
+    exponents, all distinct here, are those of the bits set 2^-e."""
+    v = route.partial(lambda w: 1 << w - 1, n, wp)
+    exponents = {wp - i for i in range(v.bit_length()) if v >> i & 1}
+    assert len(exponents) == n  # none lies past 2^-wp
+    return exponents
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 1024])
@@ -351,6 +353,52 @@ def test_lambert_sum_within_its_rounding_bound(kind, r, s, x, bits):
         want = _oracle_partial(kind, r, s)(_mpf(xw, w), n - 1)
         bound = (2**b + 1) * mp.mpf(2) ** -w
         assert abs(got - want) <= bound, (n, wp, got - want, bound)
+
+
+def _power_sum_oracle(c, x):
+    """sum_m c_m x^m for a Fraction x, exactly, by Horner's rule."""
+    total = Fraction(0)
+    for cm in reversed(c):
+        total = total * x + cm
+    return total
+
+
+BIG = 10**30
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c=st.lists(st.integers(-BIG, BIG), max_size=400)
+    | st.lists(st.integers(0, BIG), max_size=400)
+    | st.lists(st.integers(0, 1), max_size=400),
+    x=st.floats(-0.95, 0.95),
+    w=st.integers(64, 2048),
+    b=st.integers(1, 40),
+)
+# the largest error of a scan over x = 0.01..0.95 and patterned c: 2^-3.7 of
+# the bound, which keeps a factor 2 to spare over its proof
+@example(c=[BIG - 7**k % BIG for k in range(400)], x=0.07, w=64, b=40)
+@example(c=[BIG] * 400, x=0.95, w=64, b=40)
+@example(c=[BIG] * 400, x=-0.95, w=2048, b=1)
+@example(c=[0, 1] * 200, x=0.95, w=64, b=1)
+@example(c=[], x=0.5, w=64, b=1)
+@example(c=[3], x=0.0, w=64, b=40)
+def test_power_sum_within_its_rounding_bound(c, x, w, b):
+    xw = _fixed(x)(w)
+    got = _power_sum(c, xw, w, b)
+    want = _power_sum_oracle(c, Fraction(xw, 2**w)) * 2**w
+    assert abs(got - want) <= 2 ** (b - 1) + 1, (float(got - want), b)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 40])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_power_sum_rejects_a_point_past_its_precondition(b, sign):
+    # the largest |x| 2^w with |x| <= 1 - 2^-(w-b+2) passes, the next is refused
+    w = 64
+    edge = ((1 << w + 2) - (1 << b)) >> 2
+    _power_sum([1, 2, 3], sign * edge, w, b)
+    with pytest.raises(ValueError):
+        _power_sum([1, 2, 3], sign * (edge + 1), w, b)
 
 
 def _p_power(base, num, den):
@@ -517,9 +565,13 @@ def test_nstr_of_zero():
 
 def _theta_oracle(u, v, x, n):
     """x^e_1 + ... + x^e_n of _theta(u, v), one mpf power at a time."""
+    return mp.fsum(x**e for e in _theta_exponents(u, v, n))
+
+
+def _theta_exponents(u, v, n):
+    """e_1, ..., e_n of _theta(u, v): e(k) and e(-k), k >= 1, merged."""
     expo = lambda k: u * k * (k + 1) // 2 + v * k * (k - 1) // 2  # noqa: E731
-    merged = merge((expo(k) for k in count(1)), (expo(-k) for k in count(1)))
-    return mp.fsum(x**e for e in islice(merged, n))
+    return list(islice(merge((expo(k) for k in count(1)), (expo(-k) for k in count(1))), n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -532,9 +584,15 @@ def _theta_oracle(u, v, x, n):
 @example(uv=(1, 5), x=-math.exp(-math.pi), n=40, w=1024)
 @example(uv=(1, 2), x=0.95, n=80, w=64)
 def test_theta_sum_within_its_rounding_bound(uv, x, n, w):
-    # the stepped powers against each power taken on its own, exactly
+    # the theta coefficients summed by _power_sum at b = 1, against each power
+    # taken on its own, exactly; the route's partial sums the same ones
+    exponents = _theta_exponents(*uv, n)
+    c = [0] * (max(exponents, default=-1) + 1)
+    for e in exponents:
+        c[e] += 1
     xw = _fixed(x)(w)
-    got = _theta_sum(*uv, xw, n, w)
+    got = _power_sum(c, xw, w, 1)
+    assert _theta(*uv, _fixed(x)).partial(_fixed(x), n, w - 9) == got >> 9
     with mp.workprec(w * 80 + 64):
         want = mp.ldexp(_theta_oracle(*uv, _mpf(xw, w), n), w)
-        assert abs(got - want) <= 2 * (sum(uv) + 1) * n**3, (got - want)
+        assert abs(got - want) <= 2, (got - want)
