@@ -217,8 +217,8 @@ THETA_IDS = (
 
 def _exponents(route, n, wp=4096):
     """The exponents in the first n terms of a theta route, read off at
-    x = 1/2: products of powers of 2 are exact in fixed point, and the
-    exponents, all distinct here, are those of the bits set 2^-e."""
+    x = 1/2: products of powers of 2 are exact in fixed point, and each
+    exponent e, all distinct here, sets the bit of 2^-e."""
     v = route.partial(lambda w: 1 << w - 1, n, wp)
     exponents = {wp - i for i in range(v.bit_length()) if v >> i & 1}
     assert len(exponents) == n  # none lies past 2^-wp
@@ -375,8 +375,8 @@ BIG = 10**30
     w=st.integers(64, 2048),
     b=st.integers(1, 40),
 )
-# the largest error of a scan over x = 0.01..0.95 and patterned c: 2^-3.7 of
-# the bound, which keeps a factor 2 to spare over its proof
+# the largest error a scan over x = 0.01..0.95 and patterned c found, 2^-3.7
+# of the bound: a kernel five guard bits short fails here
 @example(c=[BIG - 7**k % BIG for k in range(400)], x=0.07, w=64, b=40)
 @example(c=[BIG] * 400, x=0.95, w=64, b=40)
 @example(c=[BIG] * 400, x=-0.95, w=2048, b=1)
