@@ -4,9 +4,11 @@ Verbs: expand a named series, verify identities (one or the whole registry),
 run convolution checks, evaluate closed-form special values, derive ratio
 polynomials, and list the valid names. Output is text by default or JSON with
 --format json; JSON is byte-stable (sorted keys, canonical rationals, reports
-ordered by id). Exit status: 0 all checks passed, 1 some check failed,
-2 usage error, unknown name or an unprintable expansion, 141 stdout closed
-by its reader (128 + SIGPIPE, as the shell reports it).
+ordered by id) and is written by _dumps, which lays out json.dumps's indent-2
+form itself, since json's C encoder runs only without indent. Exit status: 0
+all checks passed, 1 some check failed, 2 usage error, unknown name or an
+unprintable expansion, 141 stdout closed by its reader (128 + SIGPIPE, as the
+shell reports it).
 
 Options take --opt value, --opt=value or any unique prefix of the name; -h or
 --help prints help and exits 0, and a usage error prints a usage line and
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import generators as G
@@ -28,8 +31,29 @@ from . import series as S
 from . import weighted as W
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+def _dumps(payload, indent: str = "\n") -> str:
+    """json.dumps(payload, sort_keys=True, indent=2), for the types qram emits.
+
+    json encodes in C only without indent, so this writer lays out non-empty
+    dicts (str keys) and lists itself, quotes strs with json's C string
+    encoder and writes ints; anything else goes to json.dumps.
+    """
+    kind = type(payload)
+    if kind is str:
+        return encode_basestring_ascii(payload)
+    if kind is int:
+        return str(payload)
+    if payload and (kind is dict or kind is list):
+        inner = indent + "  "
+        if kind is dict:
+            items = [
+                f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                for k, v in sorted(payload.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = [_dumps(v, inner) for v in payload]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(payload)
 
 
 _PLURALS = {"identity": "identities", "family": "families"}

@@ -41,8 +41,9 @@ class Series(Record):
             if den == 0:
                 raise ZeroDivisionError("Series denominator is zero")
             g = math.gcd(den, *nums) * (1 if den > 0 else -1)
-            nums = tuple(x // g for x in nums)
-            den //= g
+            if g != 1:
+                nums = tuple(x // g for x in nums)
+                den //= g
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
@@ -62,7 +63,7 @@ class Series(Record):
         """Each coefficient in rational_str form."""
         if self.den == 1:
             return [str(x) for x in self.nums]
-        return [rational_str(c) for c in self.coeffs]
+        return [rational_str(x, self.den) for x in self.nums]
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": self.coeff_strs()}
@@ -71,10 +72,15 @@ class Series(Record):
         return f"Series({to_text(self)!r}, order={self.order})"
 
 
-def rational_str(c: Fraction) -> str:
-    """Canonical "num/den" form, denominator omitted when 1."""
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def rational_str(c, den: int = 1) -> str:
+    """Canonical "num/den" form of c/den, denominator omitted when 1; c is an
+    int or a Fraction and den a positive int. Series and WeightedPoly pass
+    their int numerators with their denominator, so no Fraction is built."""
+    if not isinstance(c, int):
+        c = Fraction(c)
+        c, den = c.numerator, c.denominator * den
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 def from_coeffs(values, order: int | None = None) -> Series:
@@ -251,10 +257,10 @@ def product_expansion(
 def to_text(a: Series) -> str:
     """Human form: "1 + 8q - 8q^2 + ..." with exact rational coefficients."""
     parts: list[str] = []
-    for n, c in enumerate(a.coeffs):
+    for n, c in enumerate(a.nums):
         if c == 0:
             continue
-        mag = rational_str(abs(c))
+        mag = rational_str(abs(c), a.den)
         if n == 0:
             term = mag
         else:

@@ -13,7 +13,8 @@ Weights are w(P) = w(E) = 2, w(Q) = 4, w(R) = 6, so a term's weight is
 DerivationRules via the Leibniz rule and raises weight by exactly 2.
 
 ratio_poly re-derives the family ratio polynomials (T_2n/T_0 and friends) by
-the recurrence r_{n+1} = r_n*g + D(r_n); phi_poly re-derives the double
+the recurrence r_{n+1} = r_n*g + D(r_n), one int dict per step over a power
+of the derivation images' denominator; phi_poly re-derives the double
 Lambert-sum tables from their degree-one base cases. In the hahn ring the
 generators satisfy the relation R = E*Q, so results are put in a canonical
 form that greedily rewrites E*Q pairs into R (matching how the source
@@ -127,11 +128,11 @@ class WeightedPoly(Record):
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def to_json(self) -> dict:
-        items = sorted(self.terms.items(), reverse=True)
+        items = sorted(self.nums.items(), reverse=True)
         return {
             "ring": self.ring,
             "terms": [
-                {"exps": list(e), "coeff": S.rational_str(c)} for e, c in items
+                {"exps": list(e), "coeff": S.rational_str(c, self.den)} for e, c in items
             ],
         }
 
@@ -221,19 +222,30 @@ def derive(rules: DerivationRules, p: WeightedPoly) -> WeightedPoly:
     if rules.ring != p.ring:
         raise ValueError(f"ring mismatch: rules are {rules.ring}, poly is {p.ring}")
     den = math.lcm(*(img.den for img in rules.images.values()))
-    out: dict[Exps, int] = {}
-    for exps, c in p.nums.items():
-        for pos, name in enumerate("PEQR"):
+    return WeightedPoly(p.ring, _add_derivative(rules, den, p.nums, {}), p.den * den)
+
+
+def _add_derivative(rules: DerivationRules, den: int, nums: dict, out: dict) -> dict:
+    """Add den * D(nums) into out and return it, den a multiple of every
+    image's denominator: the Leibniz rule written once for derive and
+    ratio_poly."""
+    # per image: its generator's slot, and its terms with that generator's
+    # exponent lowered by one and coefficients times den // image.den
+    steps = []
+    for name, image in rules.images.items():
+        pos, mult = "PEQR".index(name), den // image.den
+        terms = [(e[:pos] + (e[pos] - 1,) + e[pos + 1 :], v * mult) for e, v in image.nums.items()]
+        steps.append((pos, terms))
+    for exps, c in nums.items():
+        i, j, k, l = exps
+        for pos, terms in steps:
             m = exps[pos]
-            if m == 0 or name not in rules.images:
-                continue
-            image = rules.images[name]
-            i, j, k, l = exps[:pos] + (m - 1,) + exps[pos + 1 :]
-            cm = c * m * (den // image.den)
-            for (di, dj, dk, dl), v in image.nums.items():
-                e = (i + di, j + dj, k + dk, l + dl)
-                out[e] = out.get(e, 0) + cm * v
-    return WeightedPoly(p.ring, out, p.den * den)
+            if m:
+                cm = c * m
+                for (di, dj, dk, dl), v in terms:
+                    e = (i + di, j + dj, k + dk, l + dl)
+                    out[e] = out.get(e, 0) + cm * v
+    return out
 
 
 def canonicalize(p: WeightedPoly) -> WeightedPoly:
@@ -274,31 +286,43 @@ def ratio_poly(fam: str, n: int) -> WeightedPoly:
 
     Derivation: the family recurrence c*q*X_m' = X_{m+2} - X_m plus the base
     ratio X_2/X_0 = g turn into r_{n+1} = r_n*g + D(r_n) for the ratios
-    r_n = X_{2n}/X_0, where D is the scaled derivation. Output is canonical
-    (E*Q pairs rewritten to R in the hahn ring); weight-homogeneous of 2n.
+    r_n = X_{2n}/X_0, where D is the scaled derivation. Each step is one int
+    dict: D = (a/b) D_0 with D_0 the ring's base derivation, whose images
+    have common denominator e; with d = b*e, r_n = N_n / d^n and
+    N_{n+1} = d*N_n*g + a*e*D_0(N_n), so only the last step is reduced, into
+    one WeightedPoly. Output is canonical (E*Q pairs rewritten to R in the hahn
+    ring); weight-homogeneous of 2n.
     """
-    return canonicalize(_ratio_chain(fam, n)[n])
+    ring, den, chain = _ratio_chain(fam, n)
+    return canonicalize(WeightedPoly(ring, chain[n], den**n))
 
 
 def ratio_polys(fam: str, top: int) -> list[WeightedPoly]:
     """ratio_poly(fam, n) for n = 0..top, from one pass of the recurrence."""
-    return [canonicalize(r) for r in _ratio_chain(fam, top)]
+    ring, den, chain = _ratio_chain(fam, top)
+    return [canonicalize(WeightedPoly(ring, nums, den**n)) for n, nums in enumerate(chain)]
 
 
-def _ratio_chain(fam: str, top: int) -> list[WeightedPoly]:
-    """r_0, ..., r_top of ratio_poly's recurrence, before canonicalize."""
+def _ratio_chain(fam: str, top: int) -> tuple[str, int, list[dict[Exps, int]]]:
+    """The ring, d and N_0, ..., N_top of ratio_poly's recurrence."""
     if fam not in FAMILY_SETUP:
         raise KeyError(f"ratio_poly: unknown family {fam!r}")
     if top < 0:
         raise ValueError("ratio_poly: n must be >= 0")
-    ring, _, gspec = FAMILY_SETUP[fam]
-    g = WeightedPoly(ring, gspec)
-    rules = family_rules(fam)
-    chain = [constant(ring, 1)]
+    ring, scale, g = FAMILY_SETUP[fam]
+    rules = _BASE_RULES[ring]
+    f = Fraction(scale) / rules.scale  # D is f times the base derivation
+    base_den = math.lcm(*(img.den for img in rules.images.values()))
+    den = f.denominator * base_den
+    chain = [{(0, 0, 0, 0): 1}]
     for _ in range(top):
-        r = chain[-1]
-        chain.append(r * g + derive(rules, r))
-    return chain
+        out: dict[Exps, int] = {}
+        for (i, j, k, l), c in chain[-1].items():
+            for (gi, gj, gk, gl), v in g.items():
+                e = (i + gi, j + gj, k + gk, l + gl)
+                out[e] = out.get(e, 0) + den * c * v
+        chain.append(_add_derivative(rules, f.numerator * base_den, chain[-1], out))
+    return ring, den, chain
 
 
 def phi_poly(variant: str, r: int, s: int) -> WeightedPoly:
@@ -432,18 +456,18 @@ def pretty(p: WeightedPoly, ascii_letters: bool = False) -> str:
     else:
         letters = _LETTERS[p.ring]
     parts: list[str] = []
-    for exps, c in sorted(p.terms.items(), reverse=True):
+    for exps, c in sorted(p.nums.items(), reverse=True):
         mono = ""
         for name, e in zip("PEQR", exps):
             if e == 0:
                 continue
             mono += letters[name] + (f"^{e}" if e > 1 else "")
-        mag = S.rational_str(abs(c))
+        mag = S.rational_str(abs(c), p.den)
         if mono == "":
             body = mag
         elif mag == "1":
             body = mono
-        elif c.denominator == 1:
+        elif "/" not in mag:
             body = f"{mag}{mono}"
         else:
             body = f"({mag}){mono}"

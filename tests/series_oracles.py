@@ -3,7 +3,9 @@
 schoolbook_mul is the integer Cauchy product that series.mul replaced; div is
 integer long division by a unit, which no part of the package needs;
 eval_by_mul is the evaluator of weighted polynomials that
-weighted.eval_as_series replaced, one series.mul per monomial.
+weighted.eval_as_series replaced, one series.mul per monomial; ratio_chain is
+the ratio recurrence that weighted.ratio_polys replaced, one normalised
+WeightedPoly per product and derivative.
 """
 
 from fractions import Fraction
@@ -11,7 +13,16 @@ from operator import mul as _imul
 
 from qram import generators as G
 from qram import series as S
-from qram.weighted import _GEN_EXPS, Exps, WeightedPoly
+from qram.weighted import (
+    _GEN_EXPS,
+    FAMILY_SETUP,
+    Exps,
+    WeightedPoly,
+    canonicalize,
+    constant,
+    derive,
+    family_rules,
+)
 
 
 def schoolbook_mul(a: S.Series, b: S.Series) -> S.Series:
@@ -69,3 +80,16 @@ def eval_by_mul(p: WeightedPoly, order: int) -> S.Series:
     for exps, c in p.nums.items():
         total = S.add(total, S.scale(c, monomial(exps)))
     return S.scale(Fraction(1, p.den), total)
+
+
+def ratio_chain(fam: str, top: int) -> list[WeightedPoly]:
+    """ratio_poly(fam, n) for n = 0..top, as r_{n+1} = r_n*g + derive(rules, r_n)
+    on WeightedPoly records, each step reduced to lowest terms."""
+    ring, _, gspec = FAMILY_SETUP[fam]
+    g = WeightedPoly(ring, gspec)
+    rules = family_rules(fam)
+    chain = [constant(ring, 1)]
+    for _ in range(top):
+        r = chain[-1]
+        chain.append(r * g + derive(rules, r))
+    return [canonicalize(r) for r in chain]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qram import generators as G
 from qram import identities as I
-from qram.cli import main
+from qram.cli import _dumps, main
 from qram.numeric import SPECIALS
 
 
@@ -163,6 +163,27 @@ def test_list_json_byte_stable(capsys):
     payload = json.loads(out1)
     assert len(payload["identities"]) == 81
     assert len(payload["special_values"]) == 19
+
+
+# quotes, backslashes, control, DEL, non-ASCII, a line separator and an
+# astral letter, beside any text hypothesis draws
+_JSON_CHARS = 'a"\\\x00\n\x1f\x7f\xe9\u2028\U0001d4ab'
+_JSON_STRS = st.text(st.sampled_from(_JSON_CHARS), max_size=4) | st.text(max_size=4)
+_JSON_PAYLOADS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | _JSON_STRS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_STRS, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_PAYLOADS)
+def test_dumps_writes_what_json_dumps_writes(payload):
+    assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_list_text(capsys):

@@ -285,8 +285,12 @@ def test_to_text_and_json():
     assert js == {"order": 3, "coeffs": ["1", "8", "-8", "32"]}
     third = S.scale(Fraction(1, 3), S.one(1))
     assert third.to_json()["coeffs"] == ["1/3", "0"]
+    assert S.to_text(S.Series((3, -2, 0, 6), 6)) == "1/2 - 1/3q + q^3"
 
 
 def test_rational_str_canonical():
     assert S.rational_str(Fraction(-5461, 8)) == "-5461/8"
     assert S.rational_str(Fraction(4, 2)) == "2"
+    assert S.rational_str(-5461 * 3, 24) == "-5461/8"
+    assert S.rational_str(4, 2) == S.rational_str(2, 1) == "2"
+    assert S.rational_str(0, 691) == "0"

@@ -28,7 +28,7 @@ from qram.weighted import (
     ratio_poly,
     ratio_polys,
 )
-from series_oracles import eval_by_mul
+from series_oracles import eval_by_mul, ratio_chain
 
 
 def wp(ring, spec):
@@ -374,6 +374,16 @@ def test_ratio_poly_weight_homogeneous():
             poly = ratio_poly(fam, n)
             assert table[n] == poly, (fam, n)
             assert poly.homogeneous_weight() == 2 * n, (fam, n)
+
+
+def test_ratio_polys_match_the_record_chain_oracle():
+    # the one-dict recurrence reduces only at the end; the oracle reduces
+    # every step, so equal records mean equal rationals at every index
+    for fam in ("T", "F", "psi", "eps"):
+        want = ratio_chain(fam, 20)
+        assert ratio_polys(fam, 20) == want, fam
+        for n in range(21):
+            assert ratio_poly(fam, n) == want[n], (fam, n)
 
 
 def test_eval_bridge_reproduces_family_members():
