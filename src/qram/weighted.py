@@ -311,9 +311,12 @@ def _ratio_chain(fam: str, top: int) -> tuple[str, int, list[dict[Exps, int]]]:
         raise ValueError("ratio_poly: n must be >= 0")
     ring, scale, g = FAMILY_SETUP[fam]
     rules = _BASE_RULES[ring]
-    f = Fraction(scale) / rules.scale  # D is f times the base derivation
+    # D = (a/b) D_0 in lowest terms, D_0 the ring's base derivation; in ints,
+    # since a freshly forked CLI process pays page faults to run Fraction code
+    a, b = scale * rules.scale.denominator, rules.scale.numerator
+    a, b = a // math.gcd(a, b), b // math.gcd(a, b)
     base_den = math.lcm(*(img.den for img in rules.images.values()))
-    den = f.denominator * base_den
+    den = b * base_den
     chain = [{(0, 0, 0, 0): 1}]
     for _ in range(top):
         out: dict[Exps, int] = {}
@@ -321,7 +324,7 @@ def _ratio_chain(fam: str, top: int) -> tuple[str, int, list[dict[Exps, int]]]:
             for (gi, gj, gk, gl), v in g.items():
                 e = (i + gi, j + gj, k + gk, l + gl)
                 out[e] = out.get(e, 0) + den * c * v
-        chain.append(_add_derivative(rules, f.numerator * base_den, chain[-1], out))
+        chain.append(_add_derivative(rules, a * base_den, chain[-1], out))
     return ring, den, chain
 
 
