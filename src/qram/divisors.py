@@ -18,10 +18,11 @@ boundary value b that makes its generator (b + sum sigma_s(n) q^n)/b start
 with 1 (sigma_3(0) = 1/240 from Q, sigma~_1(0) = 1/8 from P~); boundary_value
 derives it, and a pair with no generator has none.
 
-divisor_sum_table sieves a whole table; pointwise_tables factors each n once
-by trial division and reads every weight and flavor off the factorisation, so
-that each checks the other. convolution() is the brute-force oracle for the
-convolution identities: a literal sum over all compositions
+divisor_sum_table sieves a whole table additively; pointwise_tables factors
+every n with a smallest-prime-factor sieve and builds each weight and flavor
+multiplicatively from the prime powers, so that each checks the other, and
+divisor_sum's trial division checks both. convolution() is the brute-force
+oracle for the convolution identities: a literal sum over all compositions
 i_1 + ... + i_k = n of products of divisor sums, using the boundary values at
 argument 0.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import sub
 
 
@@ -133,11 +134,11 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     """[sigma_s(0..n_max)] as ints, with a sieve; index 0 holds 0, not the
     boundary value.
 
-    Each divisor d up to n_max/2 adds d^s to its multiples table[d::d] in one
-    slice assignment; a larger d divides only itself, so it is added on its
-    own. O(n_max log n_max) additions, for dense consumers (Lambert
-    coefficients, bulk property checks). A signed flavor then takes one pass
-    over the even n, from the plain values: the even divisors of n are 2d
+    Each divisor d up to n_max/2 adds d^s to each of its multiples in a plain
+    loop (faster than a slice assignment per d); a larger d divides only
+    itself, so it is added on its own. O(n_max log n_max) additions, for
+    dense consumers (Lambert coefficients, bulk property checks). A signed
+    flavor then takes one pass over the even n, from the plain values: the even divisors of n are 2d
     for d | n/2, and the divisors d with n/d even are the divisors of n/2, so
 
         sigma~_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2),
@@ -149,7 +150,8 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     table = [0] * (n_max + 1)
     for d in range(1, n_max // 2 + 1):
         ds = d**s
-        table[d::d] = map(ds.__add__, table[d::d])
+        for k in range(d, n_max + 1, d):
+            table[k] += ds
     for d in range(n_max // 2 + 1, n_max + 1):
         table[d] += d**s
     if kind is not DivisorKind.PLAIN:
@@ -158,48 +160,38 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     return table
 
 
-def _geometric(t: int, k: int) -> int:
-    """1 + t + ... + t^(k-1); k when t = 1, where (t^k - 1)/(t - 1) would
-    divide by zero."""
-    return k if t == 1 else (t**k - 1) // (t - 1)
-
-
 def pointwise_tables(pairs: list[tuple[DivisorKind, int]], n_max: int) -> list[list[int]]:
     """[sigma_s(0..n_max)] for each (kind, s) of pairs, laid out as
-    divisor_sum_table's (index 0 holds 0), without a sieve.
+    divisor_sum_table's (index 0 holds 0), from a factorisation of each n.
 
-    Each n = 2^a prod p^e is factored once by trial division; sigma_s is
-    multiplicative, with sigma_s(p^e) = 1 + p^s + ... + p^(es), and the
-    flavors differ only in the factor of 2^a (see the module docstring).
+    A smallest-prime-factor sieve (Gries-Misra, CACM 21, 1978) splits each
+    n >= 2 as q*m, q = p^e the full power of its least prime p, so
+    t[n] = t[m] f(q) by multiplicativity, with f(q) the sum of the signed d^s
+    over d = p^j, once per prime power. Every sign is + for odd p and the
+    plain flavor; at p = 2 tilde negates each j >= 1 and hat each j < e
+    (whose codivisor 2^(e-j) is even).
     """
-    tables = [[0] * (n_max + 1) for _ in pairs]
-    flavors = [(table, kind, s, 2**s) for table, (kind, s) in zip(tables, pairs)]
-    for n in range(1, n_max + 1):
-        a = (n & -n).bit_length() - 1
-        m, p, odd = n >> a, 3, []
-        while p * p <= m:
-            if m % p == 0:
-                e = 1
-                m //= p
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                odd.append((p, e))
-            p += 2
-        if m > 1:
-            odd.append((m, 1))
-        for table, kind, s, two in flavors:
-            total = 1
-            for p, e in odd:
-                total *= _geometric(p**s, e + 1)
-            below, top = _geometric(two, a), two**a  # sum_{j<a} 2^(js), 2^(as)
-            if kind is DivisorKind.PLAIN:
-                total *= below + top
-            elif kind is DivisorKind.TILDE:
-                total *= 2 - below - top
-            else:
-                total *= top - below
-            table[n] = total
+    least = list(range(n_max + 1))  # the least prime factor of each n >= 2
+    for p in range(math.isqrt(n_max), 1, -1):
+        least[p * p :: p] = [p] * ((n_max - p * p) // p + 1)
+    power, rest = [1] * (n_max + 1), [1] * (n_max + 1)  # n = power[n] rest[n]
+    for n in range(2, n_max + 1):
+        p, m = least[n], n // least[n]
+        power[n], rest[n] = (p * power[m], rest[m]) if least[m] == p else (p, m)
+    prime_powers = [q for q in range(2, n_max + 1) if power[q] == q]
+    tables = []
+    for kind, s in pairs:
+        f = [1] * (n_max + 1)
+        for q in prime_powers:
+            f[q] = f[q // least[q]] + q**s
+        q = 1 << n_max.bit_length() >> 1  # the powers of 2, downwards
+        while q > 1 and kind is not DivisorKind.PLAIN:
+            f[q] = 2 - f[q] if kind is DivisorKind.TILDE else q**s - f[q >> 1]
+            q >>= 1
+        table = [0] + [1] * n_max
+        for n in range(2, n_max + 1):
+            table[n] = table[rest[n]] * f[power[n]]
+        tables.append(table)
     return tables
 
 
@@ -227,27 +219,28 @@ def convolution(terms: list[tuple[DivisorKind, int]], n: int) -> Fraction:
     return fold(list(terms), n)
 
 
-def convolution_sequence(terms: list[tuple[DivisorKind, int]], n_max: int):
-    """Values of convolution(terms, n) for all n = 0..n_max, as one Series.
+def convolution_sequence(sums: dict[tuple[tuple[DivisorKind, int], ...], int], n_max: int):
+    """sum c convolution(terms, n) over the terms -> c of sums (ints c), for
+    all n = 0..n_max, as one Series.
 
-    The product of the factors' series sum_{n>=0} sigma_s(n) q^n, each with
-    its boundary value as the constant term, to order n_max. Each distinct
-    factor is built once and raised to its multiplicity by squaring, so
-    sigma^^4 takes one table and two products. Agrees coefficientwise with
+    Each distinct (kind, s) is one generator sum_{n>=0} sigma_s(n) q^n, from
+    its sieved table with its boundary value as the constant term; each
+    product of terms is a monomial in them, and series.eval_poly forms the
+    whole sum on one Kronecker image. Agrees coefficientwise with
     convolution().
     """
     from . import series as S  # series imports this module
 
-    if not terms:
+    if not sums or not all(sums):
         raise ValueError("convolution_sequence: empty term list")
-    powers = []
-    for kind, s in dict.fromkeys(terms):
-        k = terms.count((kind, s))
-        f = S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
-        power = f if k & 1 else None
-        while k > 1:
-            f, k = S.mul(f, f), k >> 1
-            if k & 1:
-                power = f if power is None else S.mul(power, f)
-        powers.append(power)
-    return reduce(S.mul, powers)
+    pairs = list(dict.fromkeys(pair for terms in sums for pair in terms))
+    gens = []
+    for kind, s in pairs:
+        b, table = boundary_value(kind, s), divisor_sum_table(kind, s, n_max)
+        den = b.denominator
+        gens.append(S.Series((b.numerator, *(den * x for x in table[1:])), den))
+    nums: dict[tuple[int, ...], int] = {}
+    for terms, c in sums.items():
+        e = tuple(map(terms.count, pairs))
+        nums[e] = nums.get(e, 0) + c
+    return S.eval_poly(tuple(gens), nums, n_max)

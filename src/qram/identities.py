@@ -8,8 +8,8 @@ Three kinds of entry:
                 ever needed; the one genuine quotient identity (lemma_lx) is
                 pre-cross-multiplied too.
   convolution:  the same, with n_max as the order: each side is the Series
-                sum_n v(n) q^n of its values, one side pointwise from one
-                factorisation of each n and the other a product of Lambert
+                sum_n v(n) q^n of its values, one side pointwise from a
+                factorisation of each n and the other products of Lambert
                 series from divisors.convolution_sequence (the brute-force
                 divisors.convolution is its test oracle). Coefficients
                 outside the stated domain are zeroed before the compare, and
@@ -149,13 +149,13 @@ def _sigmas(
 ) -> tuple[S.Series, ...]:
     """sum_{n >= 1} sigma_s(n) q^n for each (kind, s) of pairs, with the
     boundary value as its constant term if boundary is set: divisor sums from
-    one factorisation of each n (divisors.pointwise_tables), the independent
+    a factorisation of each n (divisors.pointwise_tables), the independent
     check of the sieve behind the other side."""
     out = []
     for (kind, s), table in zip(pairs, pointwise_tables(pairs, n_max)):
         b = boundary_value(kind, s) if boundary else Fraction(0)
-        nums = (b.numerator, *(b.denominator * x for x in table[1:]))
-        out.append(S.Series(nums, b.denominator))
+        num, den = b.numerator, b.denominator
+        out.append(S.Series((num, *(den * x for x in table[1:])), den))
     return tuple(out)
 
 
@@ -440,7 +440,7 @@ def _convolution_identities() -> list[Identity]:
         return build
 
     def convolved(terms, c):
-        return lambda n: S.scale(c, convolution_sequence(terms, n))
+        return lambda n: convolution_sequence({tuple(terms): c}, n)
 
     hat = (HAT, 1)
     conv(
@@ -492,9 +492,7 @@ def _convolution_identities() -> list[Identity]:
         "sigma_7(n) = 12 (864 sum_{i+j+k+l=n} sigma^^4 - sum_{i+j=n} sigma^ sigma~_5), n odd",
         "derived: E_8(q) - 16 E_8(q^2) = 15E~^4 - 30E~R~",
         sigma(PLAIN, 7),
-        lambda n: S.sub(
-            convolved([hat] * 4, 12 * 864)(n), convolved([hat, (TILDE, 5)], 12)(n)
-        ),
+        lambda n: convolution_sequence({(hat,) * 4: 12 * 864, (hat, (TILDE, 5)): -12}, n),
         "odd n >= 1",
     )
     conv(

@@ -11,9 +11,9 @@ One codec serves every Kronecker image in the package: _pack writes
 numerators a_0..a_n as the int sum a_i 2^(8wi), one signed slot of w bytes
 each, _slot_bytes picks the w that holds a given bound, and _unpack reads
 the slots back from any int congruent to such a sum modulo 2^(8w(n+1)). mul
-packs two series and unpacks their product; weighted.eval_as_series packs
-each generator once, forms a whole polynomial on the packed ints and unpacks
-once.
+packs two series and unpacks their product; eval_poly packs each generator
+once, forms a whole polynomial in them on the packed ints and unpacks once,
+for weighted.eval_as_series and divisors.convolution_sequence.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def neg(a: Series) -> Series:
 
 def scale(c, a: Series) -> Series:
     c = Fraction(c)
-    return Series(tuple(c.numerator * x for x in a.nums), c.denominator * a.den)
+    num = c.numerator
+    return Series(tuple(num * x for x in a.nums), c.denominator * a.den)
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -154,6 +155,61 @@ def mul(a: Series, b: Series) -> Series:
     bound = (n + 1) * max(1, *map(abs, xs)) * max(1, *map(abs, ys))
     w = _slot_bytes(bound)
     return Series(_unpack(_pack(xs, w) * _pack(ys, w), n + 1, w), a.den * b.den)
+
+
+def eval_poly(gens: tuple[Series | None, ...], nums: dict, order: int, den: int = 1) -> Series:
+    """sum_e nums[e] prod_i gens[i]^(e_i) / den, for int nums keyed by exponent
+    tuples, to order n: the smaller of order and the generators' orders.
+    gens[i] is None where every e_i is 0.
+
+    With X = 2^(8w) and K = 8w(n+1), f -> f(X) mod 2^K is a ring homomorphism
+    Z[q]/(q^(n+1)) -> Z/2^K, as X^(n+1) = 2^K is 0 there. So each generator is
+    packed once; each distinct monomial of degree >= 2 is one int product mod
+    2^K, the square of its half when every exponent is even and otherwise its
+    parent (last nonzero exponent lowered by one) times a generator; and the
+    numerators sum_e c_e (L/D_e) m_e, for terms c_e m_e / D_e with D_e the
+    generators' denominators to the powers e and L their lcm, are formed on
+    the same ints and unpacked once.
+
+    The slot width. Let M_i be max|nums| of generator i, taken as at least 1.
+    The q^k numerator of a monomial of degree d >= 1 is a sum of
+    C(k+d-1, d-1) <= (n+1)^(d-1) products of d generator numerators, so its
+    absolute value is at most (n+1)^(d-1) prod M_i^(e_i); a monomial of
+    degree 0 is 1. So every numerator of the sum is at most
+
+        B = sum_e |c_e| (L/D_e) (n+1)^max(d_e-1, 0) prod M_i^(e_i)
+
+    in absolute value, and w is the fewest bytes with 2^(8w-1) > B, so that
+    _unpack reads each off its own slot. The monomials may overflow their
+    slots: only their images mod 2^K are used, which the homomorphism makes
+    exact.
+    """
+    used = [(i, g) for i, g in enumerate(gens) if g is not None]
+    n = min([order, *(g.order for _, g in used)])
+    peaks = {i: max(1, *map(abs, g.nums[: n + 1])) for i, g in used}
+    dens = {e: math.prod(gens[i].den ** k for i, k in enumerate(e) if k) for e in nums}
+    lcm = math.lcm(*dens.values())
+    bound = sum(
+        abs(c) * (lcm // dens[e]) * (n + 1) ** max(sum(e) - 1, 0)
+        * math.prod(peaks[i] ** k for i, k in enumerate(e) if k) for e, c in nums.items()
+    )
+    w = _slot_bytes(bound)
+    mask = (1 << 8 * w * (n + 1)) - 1
+    packed = {i: _pack(g.nums[: n + 1], w) for i, g in used}
+    table = {(0,) * len(gens): 1}
+
+    def image(exps: tuple[int, ...]) -> int:
+        if exps not in table:
+            if any(e & 1 for e in exps):
+                i = max(i for i, e in enumerate(exps) if e)
+                z = image(exps[:i] + (exps[i] - 1,) + exps[i + 1 :]) * packed[i]
+            else:
+                z = image(tuple(e >> 1 for e in exps)) ** 2
+            table[exps] = z & mask
+        return table[exps]
+
+    total = sum(c * (lcm // dens[e]) * image(e) for e, c in nums.items())
+    return Series(_unpack(total, n + 1, w), den * lcm)
 
 
 def _slot_bytes(bound: int) -> int:

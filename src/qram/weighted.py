@@ -381,63 +381,16 @@ def classical_to_hahn(p: WeightedPoly) -> WeightedPoly:
 
 
 def eval_as_series(p: WeightedPoly, order: int) -> S.Series:
-    """Substitute the generator q-expansions and expand to the given order.
-
-    Only the generators that occur in p are built, each once, and p is
-    evaluated on one Kronecker image (see the series module's codec). With
-    n = order, X = 2^(8w) and K = 8w(n+1), the map f -> f(X) mod 2^K is a
-    ring homomorphism Z[q]/(q^(n+1)) -> Z/2^K, because X^(n+1) = 2^K is 0
-    there. So each generator's numerators are packed once into an int; each
-    distinct monomial of degree >= 2 is its parent (last nonzero exponent
-    lowered by one) times a generator, one int product reduced mod 2^K; and
-    the numerators of p, sum c_e (L/D_e) m_e over its terms c_e m_e / D_e,
-    are formed on the same ints and unpacked once. Here D_e is the product
-    of the generators' denominators to the powers e, and L is their lcm.
-
-    The slot width. Let M_i be max|nums| of generator i, taken as at least 1.
-    The q^k numerator of a monomial of degree d >= 1 is a sum of
-    C(k+d-1, d-1) <= (n+1)^(d-1) products of d generator numerators, so its
-    absolute value is at most (n+1)^(d-1) prod M_i^(e_i); a monomial of
-    degree 0 is 1. Every numerator of p therefore satisfies |c| <= B, with
-
-        B = sum_e |c_e| (L/D_e) (n+1)^max(d_e-1, 0) prod M_i^(e_i),
-
-    and w is the fewest bytes with 2^(8w-1) > B, so that _unpack reads each
-    one off its own slot. The monomials themselves may overflow their slots:
-    only their images mod 2^K are used, and the homomorphism makes those
-    exact.
-    """
-    gens = {
-        pos: G.hahn("PEQR"[pos], order)
-        if p.ring == "hahn"
-        else G.eisenstein("PQR".index("PEQR"[pos]) + 1, order)
-        for pos in range(4)
+    """Substitute the generator q-expansions and expand to the given order:
+    only the generators that occur in p are built, each once, and p is
+    evaluated on one Kronecker image by series.eval_poly."""
+    gens = tuple(
+        (G.hahn(x, order) if p.ring == "hahn" else G.eisenstein("PQR".index(x) + 1, order))
         if any(e[pos] for e in p.nums)
-    }
-    peaks = {pos: max(1, *map(abs, g.nums)) for pos, g in gens.items()}
-    dens = {e: math.prod(gens[pos].den ** k for pos, k in enumerate(e) if k) for e in p.nums}
-    lcm = math.lcm(*dens.values())
-    bound = sum(
-        abs(c)
-        * (lcm // dens[e])
-        * (order + 1) ** max(sum(e) - 1, 0)
-        * math.prod(peaks[pos] ** k for pos, k in enumerate(e) if k)
-        for e, c in p.nums.items()
+        else None
+        for pos, x in enumerate("PEQR")
     )
-    w = S._slot_bytes(bound)
-    mask = (1 << 8 * w * (order + 1)) - 1
-    table = {(0, 0, 0, 0): 1}
-    table.update((_GEN_EXPS["PEQR"[pos]], S._pack(g.nums, w)) for pos, g in gens.items())
-
-    def image(exps: Exps) -> int:
-        if exps not in table:
-            pos = max(q for q, e in enumerate(exps) if e)
-            parent = exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :]
-            table[exps] = image(parent) * table[_GEN_EXPS["PEQR"[pos]]] & mask
-        return table[exps]
-
-    total = sum(c * (lcm // dens[e]) * image(e) for e, c in p.nums.items())
-    return S.Series(S._unpack(total, order + 1, w), p.den * lcm)
+    return S.eval_poly(gens, p.nums, order, p.den)
 
 
 _LETTERS = {

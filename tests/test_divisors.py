@@ -96,7 +96,7 @@ def test_convolution_sequence_powers_match_the_plain_product(terms):
         S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
         for kind, s in terms
     ]
-    seq = convolution_sequence(terms, n_max)
+    seq = convolution_sequence({tuple(terms): 1}, n_max)
     assert seq == reduce(S.mul, factors)
     assert [seq[n] for n in range(n_max + 1)] == [
         convolution(terms, n) for n in range(n_max + 1)
@@ -189,7 +189,7 @@ _BOUNDED_TERMS = [(PLAIN, 3), (PLAIN, 5), (PLAIN, 7), (TILDE, 1), (TILDE, 3), (T
 )
 @settings(max_examples=60, deadline=None)
 def test_bulk_convolution_matches_recursive(terms, n):
-    seq = convolution_sequence(terms, n)
+    seq = convolution_sequence({tuple(terms): 1}, n)
     assert seq[n] == convolution(terms, n)
 
 

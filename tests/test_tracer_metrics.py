@@ -1,10 +1,12 @@
 """perfbench's per-layer metrics still see the layers they name.
 
 perfbench/tracer.py wraps qram's public functions by name, so a refactor that
-renames or bypasses one would silently zero its metric. This runs two CLI
+renames or bypasses one would silently zero its metric. This runs three CLI
 commands under the tracer, in a subprocess so the wrappers stay out of this
-test session, and checks that each metric the two commands exercise is
-nonzero. It reads perfbench/ and writes nothing there.
+test session, and checks that each metric the commands exercise is nonzero:
+cheng_williams is there for series.mul, which its left side calls and the
+packed convolution products do not. It reads perfbench/ and writes nothing
+there.
 """
 
 import json
@@ -25,6 +27,7 @@ tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
     assert qram.cli.main(["verify", "--identity", "e8.square", "--order", "20"]) == 0
     assert qram.cli.main(["convolve", "--identity", "t9", "--nmax", "20"]) == 0
+    assert qram.cli.main(["convolve", "--identity", "cheng_williams", "--nmax", "20"]) == 0
 print(json.dumps(tracer.layer_metrics(0)))
 """
 
