@@ -160,7 +160,7 @@ def mul(a: Series, b: Series) -> Series:
 def eval_poly(gens: tuple[Series | None, ...], nums: dict, order: int, den: int = 1) -> Series:
     """sum_e nums[e] prod_i gens[i]^(e_i) / den, for int nums keyed by exponent
     tuples, to order n: the smaller of order and the generators' orders.
-    gens[i] is None where every e_i is 0.
+    gens[i] may be None where every e_i is 0.
 
     With X = 2^(8w) and K = 8w(n+1), f -> f(X) mod 2^K is a ring homomorphism
     Z[q]/(q^(n+1)) -> Z/2^K, as X^(n+1) = 2^K is 0 there. So each generator is
@@ -179,10 +179,10 @@ def eval_poly(gens: tuple[Series | None, ...], nums: dict, order: int, den: int 
 
         B = sum_e |c_e| (L/D_e) (n+1)^max(d_e-1, 0) prod M_i^(e_i)
 
-    in absolute value, and w is the fewest bytes with 2^(8w-1) > B, so that
-    _unpack reads each off its own slot. The monomials may overflow their
-    slots: only their images mod 2^K are used, which the homomorphism makes
-    exact.
+    in absolute value, and w is the fewest bytes with 2^(8w-1) above B and
+    every M_i, so that each generator packs and _unpack reads each numerator
+    off its own slot. The monomials may overflow their slots: only their
+    images mod 2^K are used, which the homomorphism makes exact.
     """
     used = [(i, g) for i, g in enumerate(gens) if g is not None]
     n = min([order, *(g.order for _, g in used)])
@@ -193,7 +193,7 @@ def eval_poly(gens: tuple[Series | None, ...], nums: dict, order: int, den: int 
         abs(c) * (lcm // dens[e]) * (n + 1) ** max(sum(e) - 1, 0)
         * math.prod(peaks[i] ** k for i, k in enumerate(e) if k) for e, c in nums.items()
     )
-    w = _slot_bytes(bound)
+    w = _slot_bytes(max([bound, *peaks.values()]))
     mask = (1 << 8 * w * (n + 1)) - 1
     packed = {i: _pack(g.nums[: n + 1], w) for i, g in used}
     table = {(0,) * len(gens): 1}

@@ -5,7 +5,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qram.divisors import (
@@ -73,6 +73,32 @@ def test_pointwise_tables_match_trial_division_everywhere():
         assert table[1:] == [divisor_sum(kind, s, n) for n in range(1, n_max + 1)], (kind, s)
 
 
+# n_max of a table; the small ones and the prime powers are where the
+# least-prime split q*m has m = 1 or no odd part
+_TABLE_SIZES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 8, 9, 25, 27, 49, 64, 128, 243, 256, 343, 512, 529]),
+    st.integers(0, 600),
+)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 9)), min_size=1, max_size=6),
+    _TABLE_SIZES,
+)
+@example([(HAT, 0), (HAT, 0), (TILDE, 0), (PLAIN, 0)], 512)
+@example([(TILDE, 9), (HAT, 9), (TILDE, 9)], 2)
+@example([(PLAIN, 1), (HAT, 1)], 0)
+@example([(TILDE, 1), (HAT, 3)], 1)
+@settings(max_examples=60, deadline=None)
+def test_pointwise_tables_match_trial_division_on_drawn_pairs(pairs, n_max):
+    # repeated pairs get equal tables; s = 0 counts divisors, where a closed
+    # form (p^(s(e+1)) - 1)/(p^s - 1) would divide by zero
+    tables = pointwise_tables(pairs, n_max)
+    assert len(tables) == len(pairs)
+    for (kind, s), table in zip(pairs, tables):
+        assert table == [0] + [divisor_sum(kind, s, n) for n in range(1, n_max + 1)], (kind, s)
+
+
 def test_hat_sums_are_not_odd_divisor_sums_past_s_1():
     # sigma^_s(2^a m) = sigma_s(m) (2^(as) - sum_{j<a} 2^(js)), m odd; only
     # at s = 1 is that the odd-divisor sum sigma_1(m)
@@ -88,9 +114,9 @@ def test_hat_sums_are_not_odd_divisor_sums_past_s_1():
     ids=["hat^3", "hat^4", "hat*tilde5", "hat*plain3*hat"],
 )
 def test_convolution_sequence_powers_match_the_plain_product(terms):
-    # repeated factors are squared, not multiplied in one at a time: the
-    # same series as the left-to-right product of every factor, and as the
-    # brute-force convolution at each n
+    # repeated factors are one generator raised to a power on the packed
+    # image: the same series as the left-to-right product of every factor,
+    # and as the brute-force convolution at each n
     n_max = 30
     factors = [
         S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))

@@ -2,9 +2,10 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qram import series as S
@@ -117,6 +118,62 @@ def test_mul_slot_bound_is_tight():
                 assert S.mul(a, b) == schoolbook_mul(a, b)
                 alt = S.Series(tuple(m if k % 2 else -m for k in range(n + 1)))
                 assert S.mul(alt, b) == schoolbook_mul(alt, b)
+
+
+@st.composite
+def packed_polys(draw):
+    """(gens, nums, order, den) for eval_poly: up to three generators of
+    order 0..300 and up to 2 past the requested order (which may exceed
+    theirs), each with numerators of one sign or mixed over a denominator
+    >= 1, None for some unused ones; up to five monomials with exponents
+    0..4 and signed int coefficients; den >= 1."""
+    top = draw(st.one_of(st.just(0), st.integers(0, 12), st.integers(0, 300)))
+    k = draw(st.integers(1, 3))
+    nums = draw(
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * k), st.integers(-(10**30), 10**30),
+                        max_size=5)
+    )
+    dens = st.one_of(st.just(1), st.integers(2, 10**12))
+    gens = []
+    for i in range(k):
+        if not any(e[i] for e in nums) and draw(st.booleans()):
+            gens.append(None)
+            continue
+        size = top + 1 + draw(st.integers(0, 2))
+        magnitude = st.one_of(st.just(0), st.integers(0, 10), st.integers(0, 10**30))
+        sign = draw(st.sampled_from([1, -1, 0]))
+        signed = st.tuples(magnitude, st.booleans()).map(
+            lambda t, sign=sign: -t[0] if sign == -1 or sign == 0 and t[1] else t[0]
+        )
+        values = draw(st.lists(signed, min_size=size, max_size=size))
+        gens.append(S.Series(tuple(values), draw(dens)))
+    return tuple(gens), nums, top + draw(st.integers(0, 3)), draw(dens)
+
+
+def eval_by_mul_chain(gens, nums, order, den):
+    """The same sum with one S.mul per factor, each monomial a left-to-right
+    reduce, and the terms added as Series."""
+    n = min([order, *(g.order for g in gens if g is not None)])
+    total = S.zero(n)
+    for e, c in nums.items():
+        factors = [g for g, k in zip(gens, e) for _ in range(k)]
+        total = S.add(total, S.scale(c, reduce(S.mul, factors, S.one(n))))
+    return S.scale(Fraction(1, den), total)
+
+
+# At order 0 every numerator sits at its slot bound B when the generators'
+# numerators and the coefficients share a sign: B = 2^63 - 1 fills 8 bytes.
+@given(packed_polys())
+@example(((S.Series((2**63 - 1,)),), {(1,): 1}, 0, 1))
+@example(((S.Series((-(2**31),), 3), S.Series((2**31,) * 3)), {(1, 1): 1, (0, 0): 5}, 0, 7))
+@example(((S.Series((1,) * 201), None), {(4, 0): -(2**40), (0, 0): 3}, 200, 2))
+@settings(max_examples=60, deadline=None)
+def test_eval_poly_matches_a_mul_chain(case):
+    gens, nums, order, den = case
+    out = S.eval_poly(gens, nums, order, den)
+    assert out == eval_by_mul_chain(gens, nums, order, den)
+    assert out.order == min([order, *(g.order for g in gens if g is not None)])
+    assert_normal_form(out)
 
 
 @given(coeff_lists(), coeff_lists(unit=True))
