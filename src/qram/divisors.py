@@ -138,8 +138,9 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     loop (faster than a slice assignment per d); a larger d divides only
     itself, so it is added on its own. O(n_max log n_max) additions, for
     dense consumers (Lambert coefficients, bulk property checks). A signed
-    flavor then takes one pass over the even n, from the plain values: the even divisors of n are 2d
-    for d | n/2, and the divisors d with n/d even are the divisors of n/2, so
+    flavor then takes one pass over the even n, from the plain values: the
+    even divisors of n are 2d for d | n/2, and the divisors d with n/d even
+    are the divisors of n/2, so
 
         sigma~_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2),
         sigma^_s(n) = sigma_s(n) - 2 sigma_s(n/2),

@@ -158,11 +158,11 @@ def mul(a: Series, b: Series) -> Series:
 
 
 def eval_poly(gens: tuple[Series | None, ...], nums: dict, order: int, den: int = 1) -> Series:
-    """sum_e nums[e] prod_i gens[i]^(e_i) / den, for int nums keyed by exponent
-    tuples, to order n: the smaller of order and the generators' orders.
-    gens[i] may be None where every e_i is 0.
+    """sum_e nums[e] prod_i gens[i]^(e_i) / den to the given order, for int
+    nums keyed by exponent tuples; every generator has at least that order,
+    and gens[i] may be None where every e_i is 0.
 
-    With X = 2^(8w) and K = 8w(n+1), f -> f(X) mod 2^K is a ring homomorphism
+    With n = order, X = 2^(8w) and K = 8w(n+1), f -> f(X) mod 2^K is a ring homomorphism
     Z[q]/(q^(n+1)) -> Z/2^K, as X^(n+1) = 2^K is 0 there. So each generator is
     packed once; each distinct monomial of degree >= 2 is one int product mod
     2^K, the square of its half when every exponent is even and otherwise its
@@ -184,23 +184,22 @@ def eval_poly(gens: tuple[Series | None, ...], nums: dict, order: int, den: int 
     off its own slot. The monomials may overflow their slots: only their
     images mod 2^K are used, which the homomorphism makes exact.
     """
-    used = [(i, g) for i, g in enumerate(gens) if g is not None]
-    n = min([order, *(g.order for _, g in used)])
-    peaks = {i: max(1, *map(abs, g.nums[: n + 1])) for i, g in used}
+    peaks = {i: max(1, *map(abs, g.nums)) for i, g in enumerate(gens) if g is not None}
     dens = {e: math.prod(gens[i].den ** k for i, k in enumerate(e) if k) for e in nums}
     lcm = math.lcm(*dens.values())
     bound = sum(
-        abs(c) * (lcm // dens[e]) * (n + 1) ** max(sum(e) - 1, 0)
+        abs(c) * (lcm // dens[e]) * (order + 1) ** max(sum(e) - 1, 0)
         * math.prod(peaks[i] ** k for i, k in enumerate(e) if k) for e, c in nums.items()
     )
     w = _slot_bytes(max([bound, *peaks.values()]))
-    mask = (1 << 8 * w * (n + 1)) - 1
-    packed = {i: _pack(g.nums[: n + 1], w) for i, g in used}
-    table = {(0,) * len(gens): 1}
+    mask = (1 << 8 * w * (order + 1)) - 1
+    zero = (0,) * len(gens)
+    packed = {i: _pack(gens[i].nums, w) for i in peaks}
+    table = {zero: 1} | {zero[:i] + (1,) + zero[i + 1 :]: x for i, x in packed.items()}
 
     def image(exps: tuple[int, ...]) -> int:
         if exps not in table:
-            if any(e & 1 for e in exps):
+            if any(map((1).__and__, exps)):  # some exponent is odd
                 i = max(i for i, e in enumerate(exps) if e)
                 z = image(exps[:i] + (exps[i] - 1,) + exps[i + 1 :]) * packed[i]
             else:
@@ -209,7 +208,7 @@ def eval_poly(gens: tuple[Series | None, ...], nums: dict, order: int, den: int 
         return table[exps]
 
     total = sum(c * (lcm // dens[e]) * image(e) for e, c in nums.items())
-    return Series(_unpack(total, n + 1, w), den * lcm)
+    return Series(_unpack(total, order + 1, w), den * lcm)
 
 
 def _slot_bytes(bound: int) -> int:
