@@ -16,7 +16,8 @@ Convention: every flavor is 0 when n is negative or not an integer, which makes
 expressions like sigma_s(n/2) uniform. At n = 0 a flavor takes the rational
 boundary value b that makes its generator (b + sum sigma_s(n) q^n)/b start
 with 1 (sigma_3(0) = 1/240 from Q, sigma~_1(0) = 1/8 from P~); boundary_value
-derives it, and a pair with no generator has none.
+derives it, and a pair with no generator has none. GENERATORS names the
+seven generators of the two rings by their (flavor, s).
 
 divisor_sum_table sieves a whole table additively; pointwise_tables factors
 every n with a smallest-prime-factor sieve and builds each weight and flavor
@@ -44,6 +45,19 @@ class DivisorKind(enum.Enum):
     HAT = "hat"
 
 
+# (ring, letter) -> (flavor, s) of each generator (b + sum sigma_s(n) q^n)/b:
+# Ramanujan's P, Q, R (E_2, E_4, E_6) and Hahn's (2007) signed P~, E~, Q~, R~
+GENERATORS = {
+    ("classical", "P"): (DivisorKind.PLAIN, 1),
+    ("classical", "Q"): (DivisorKind.PLAIN, 3),
+    ("classical", "R"): (DivisorKind.PLAIN, 5),
+    ("hahn", "P"): (DivisorKind.TILDE, 1),
+    ("hahn", "E"): (DivisorKind.HAT, 1),
+    ("hahn", "Q"): (DivisorKind.TILDE, 3),
+    ("hahn", "R"): (DivisorKind.TILDE, 5),
+}
+
+
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Signed Bernoulli number B_n, with B_1 = -1/2.
@@ -61,13 +75,10 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-# The signed flavors' boundary values, one per signed generator (Hahn 2007).
-_SIGNED_BOUNDARY = {
-    (DivisorKind.TILDE, 1): Fraction(1, 8),
-    (DivisorKind.TILDE, 3): Fraction(-1, 16),
-    (DivisorKind.TILDE, 5): Fraction(1, 8),
-    (DivisorKind.HAT, 1): Fraction(1, 24),
-}
+def _parity_factor(kind: DivisorKind, s: int) -> int:
+    """c with sigma_s(n) - c sigma_s(n/2) the signed flavor kind of sigma_s(n):
+    2^(s+1) for TILDE, 2 for HAT (see divisor_sum_table)."""
+    return 2 ** (s + 1) if kind is DivisorKind.TILDE else 2
 
 
 def boundary_value(kind: DivisorKind, s: int) -> Fraction:
@@ -75,17 +86,15 @@ def boundary_value(kind: DivisorKind, s: int) -> Fraction:
 
     Each generator is (b + sum_{n>=1} sigma_s(n) q^n) / b, with constant
     term 1. For the plain flavor and odd s >= 1 that is E_{s+1}, so
-    b = -B_{s+1}/(2(s+1)); the signed pairs are the four signed generators.
-    Raises LookupError for a pair with no generator.
+    b = -B_{s+1}/(2(s+1)). A signed pair of GENERATORS takes b (1 - c) from
+    that b and the parity reduction's c, since its series is the plain one
+    at q less c times the plain one at q^2. Raises LookupError for a pair
+    with no generator.
     """
-    if kind is DivisorKind.PLAIN and s >= 1 and s % 2:
-        return -bernoulli(s + 1) / (2 * (s + 1))
-    try:
-        return _SIGNED_BOUNDARY[(kind, s)]
-    except KeyError:
-        raise LookupError(
-            f"no boundary value defined for ({kind.value}, s={s})"
-        ) from None
+    if kind is DivisorKind.PLAIN and s >= 1 and s % 2 or (kind, s) in GENERATORS.values():
+        b = -bernoulli(s + 1) / (2 * (s + 1))
+        return b if kind is DivisorKind.PLAIN else b * (1 - _parity_factor(kind, s))
+    raise LookupError(f"no boundary value defined for ({kind.value}, s={s})")
 
 
 def _divisors(n: int) -> list[int]:
@@ -156,7 +165,7 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     for d in range(n_max // 2 + 1, n_max + 1):
         table[d] += d**s
     if kind is not DivisorKind.PLAIN:
-        k = 2 ** (s + 1) if kind is DivisorKind.TILDE else 2
+        k = _parity_factor(kind, s)
         table[2::2] = map(sub, table[2::2], map(k.__mul__, table[1 : n_max // 2 + 1]))
     return table
 

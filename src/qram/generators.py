@@ -1,10 +1,11 @@
 """Builders for every named q-series in scope.
 
-Eisenstein series E_2k (P, Q, R and the higher weights), the signed-divisor
-analogues (the script P, E, Q, R system of Hahn 2007, here hahnP/hahnE/hahnQ/
-hahnR), the four weighted families on pentagonal and triangular exponents
-(T_2n, F_n, psi_n, eps_n), Ramanujan theta functions f(a, b) at signed monomial
-arguments, and the double Lambert sums Phi_{r,s} / Phi~_{r,s}.
+Eisenstein series E_2k for every weight, the seven generators of
+divisors.GENERATORS (P, Q, R and the script P, E, Q, R system of Hahn 2007,
+named hahnP/hahnE/hahnQ/hahnR), the four weighted families on pentagonal and
+triangular exponents (T_2n, F_n, psi_n, eps_n), Ramanujan theta functions
+f(a, b) at signed monomial arguments, and the double Lambert sums Phi_{r,s} /
+Phi~_{r,s}.
 
 Two shapes cover them. The families and f(a, b) are theta sums on quadratic
 exponents, all placed by one kernel, _theta_sum. The rest are Lambert series
@@ -21,7 +22,7 @@ import re
 from itertools import count
 
 from . import series as S
-from .divisors import DivisorKind, boundary_value, divisor_sum_table
+from .divisors import GENERATORS, DivisorKind, boundary_value, divisor_sum_table
 
 
 def _unit_lambert(kind: DivisorKind, s: int, order: int) -> S.Series:
@@ -43,24 +44,13 @@ def eisenstein(k: int, order: int) -> S.Series:
     return _unit_lambert(DivisorKind.PLAIN, 2 * k - 1, order)
 
 
-# letter -> (kind, weight s); the scalar is 1/boundary_value(kind, s)
-_HAHN_SPEC = {
-    "P": (DivisorKind.TILDE, 1),
-    "E": (DivisorKind.HAT, 1),
-    "Q": (DivisorKind.TILDE, 3),
-    "R": (DivisorKind.TILDE, 5),
-}
-
-
-def hahn(which: str, order: int) -> S.Series:
-    """hahnP = sum 8 sigma~(n) q^n, hahnE = sum 24 sigma^(n) q^n,
-    hahnQ = sum -16 sigma~_3(n) q^n, hahnR = sum 8 sigma~_5(n) q^n,
-    each including its n = 0 boundary term (constant term 1)."""
-    try:
-        kind, s = _HAHN_SPEC[which]
-    except KeyError:
-        raise KeyError(f"hahn: which must be one of P, E, Q, R, not {which!r}") from None
-    return _unit_lambert(kind, s, order)
+def generator(ring: str, letter: str, order: int) -> S.Series:
+    """The generator letter of ring, with constant term 1, from its (flavor, s)
+    in divisors.GENERATORS: classical P, Q, R are E_2, E_4, E_6, and
+    hahn P = 1 + 8 sum sigma~(n) q^n, E = 1 + 24 sum sigma^(n) q^n,
+    Q = 1 - 16 sum sigma~_3(n) q^n, R = 1 + 8 sum sigma~_5(n) q^n.
+    Raises KeyError for a pair outside the table."""
+    return _unit_lambert(*GENERATORS[ring, letter], order)
 
 
 def _theta_sum(expo, coeff, order: int, bilateral: bool) -> S.Series:
@@ -232,18 +222,16 @@ def series_by_name(name: str, order: int) -> S.Series:
     Raises KeyError for a name outside the grammar, and ValueError, before
     anything is built, for one whose integers exceed MAX_NAME_INDEX.
     """
+    pair = ("hahn", name[4:]) if name.startswith("hahn") else ("classical", name)
+    if pair in GENERATORS:
+        return generator(*pair, order)
     fixed = {
-        "P": lambda: eisenstein(1, order),
-        "Q": lambda: eisenstein(2, order),
-        "R": lambda: eisenstein(3, order),
         "varphi": lambda: varphi(order),
         "fneg": lambda: fneg(order),
         "poch": lambda: fneg(order),
     }
     if name in fixed:
         return fixed[name]()
-    if name.startswith("hahn") and len(name) == 5:
-        return hahn(name[4], order)
     m = next(filter(None, (p.match(name) for p in _NUMBERED_NAMES)), None)
     if m is None:
         raise KeyError(f"unknown series name {name!r}")

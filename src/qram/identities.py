@@ -232,7 +232,7 @@ def _series_identities() -> list[Identity]:
         "hahn.R_eq_EQ",
         "R~ = E~ Q~",
         "Hahn (2007)",
-        lambda n: G.hahn("R", n),
+        lambda n: G.generator("hahn", "R", n),
         _poly_series(hE * hQ),  # not canonicalized: that would give R~
     )
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Optional
 
-from .divisors import DivisorKind, boundary_value, divisor_sum_table
+from .divisors import GENERATORS, DivisorKind, boundary_value, divisor_sum_table
 from .record import Record
 
 PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
@@ -421,10 +421,11 @@ def _lambert(kind: DivisorKind, r: int, s: int, point, c0=1, c1=1) -> Route:
     return Route(point, partial, log2_tail, c0, c1)
 
 
-def _unit_lambert(kind: DivisorKind, s: int, point) -> Route:
-    """The generator 1 + c1 sum sigma_s(n) x^n of generators.eisenstein and
-    generators.hahn, with c1 = 1/boundary_value(kind, s), an integer for
-    every pair used here."""
+def _unit_lambert(ring: str, letter: str, point) -> Route:
+    """The generator 1 + c1 sum sigma_s(n) x^n of generators.generator, with
+    (kind, s) = GENERATORS[ring, letter] and c1 = 1/boundary_value(kind, s),
+    an integer for every generator."""
+    kind, s = GENERATORS[ring, letter]
     return _lambert(kind, 0, s, point, c1=int(1 / boundary_value(kind, s)))
 
 
@@ -682,14 +683,14 @@ def _specials() -> dict[str, SpecialValue]:
         "hahn.P",
         "P~(-e^{-pi}) = 2/pi",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(TILDE, 1, x_neg_pi),
+        _unit_lambert("hahn", "P", x_neg_pi),
         _closed(2, pi=-1),
     )
     add(
         "hahn.E",
         "E~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(HAT, 1, x_neg_pi),
+        _unit_lambert("hahn", "E", x_neg_pi),
         _closed(0),
         zero_target=True,
     )
@@ -697,14 +698,14 @@ def _specials() -> dict[str, SpecialValue]:
         "hahn.Q",
         "Q~(-e^{-pi}) = pi^2 / Gamma(3/4)^8",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(TILDE, 3, x_neg_pi),
+        _unit_lambert("hahn", "Q", x_neg_pi),
         _closed(1, pi=2, gamma=-8),
     )
     add(
         "hahn.R",
         "R~(-e^{-pi}) = 0",
         "signed Eisenstein evaluation (cf. Hahn 2007)",
-        _unit_lambert(TILDE, 5, x_neg_pi),
+        _unit_lambert("hahn", "R", x_neg_pi),
         _closed(0),
         zero_target=True,
     )
@@ -714,14 +715,14 @@ def _specials() -> dict[str, SpecialValue]:
         "classical.Q_2pi",
         "Q(e^{-2pi}) = 3 pi^2 / (4 Gamma(3/4)^8)",
         "Ramanujan; Berndt, Notebooks (values at e^{-2pi})",
-        _unit_lambert(PLAIN, 3, _point(2)),
+        _unit_lambert("classical", "Q", _point(2)),
         _closed("3/4", pi=2, gamma=-8),
     )
     add(
         "classical.Q_neg_pi",
         "Q(-e^{-pi}) = -3 pi^2 / Gamma(3/4)^8",
         "Ramanujan; Berndt, Notebooks (companion value at -e^{-pi})",
-        _unit_lambert(PLAIN, 3, x_neg_pi),
+        _unit_lambert("classical", "Q", x_neg_pi),
         _closed(-3, pi=2, gamma=-8),
         note=(
             "equals -4 Q(e^{-2pi}); printed chains sometimes end with the "

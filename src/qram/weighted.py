@@ -30,7 +30,7 @@ from typing import Mapping
 
 from . import generators as G
 from . import series as S
-from .divisors import DivisorKind, boundary_value
+from .divisors import GENERATORS, boundary_value
 from .record import Record
 
 Exps = tuple[int, int, int, int]
@@ -41,7 +41,7 @@ _GEN_EXPS: dict[str, Exps] = {
     "Q": (0, 0, 1, 0),
     "R": (0, 0, 0, 1),
 }
-_WEIGHTS = (2, 2, 4, 6)
+_WEIGHTS = tuple(GENERATORS["hahn", x][1] + 1 for x in "PEQR")  # w = s + 1
 
 
 class WeightedPoly(Record):
@@ -151,8 +151,8 @@ def constant(ring: str, c) -> WeightedPoly:
 
 
 def gen(ring: str, name: str) -> WeightedPoly:
-    if ring == "classical" and name == "E":
-        raise ValueError("classical ring generators are P, Q, R")
+    if (ring, name) not in GENERATORS:
+        raise ValueError(f"no generator {name!r} in the {ring!r} ring")
     return WeightedPoly(ring, {_GEN_EXPS[name]: 1})
 
 
@@ -335,10 +335,10 @@ def phi_poly(variant: str, r: int, s: int) -> WeightedPoly:
     case exists; r + s is then odd and the weight is the even number r+s+1).
     The base case is the generator X = P, Q, R of weight s - r + 1
     rearranged: X = (b + sum sigma_{s-r}(n) q^n)/b gives Phi_{0,s-r} =
-    b X - b, with b = boundary_value of sigma_{s-r}, PLAIN for the
-    classical ring and TILDE for the hahn ring. Computed as r applications
-    of the weight-raising operator q d/dq, realized as (1/scale)*derive, to
-    the base case.
+    b X - b, with b the boundary value of X's (flavor, s) in GENERATORS,
+    sigma_{s-r} plain in the classical ring and tilde in the hahn ring.
+    Computed as r applications of the weight-raising operator q d/dq,
+    realized as (1/scale)*derive, to the base case.
     """
     if variant not in ("plain", "tilde") or r < 0 or s - r not in (1, 3, 5):
         raise ValueError(
@@ -346,9 +346,9 @@ def phi_poly(variant: str, r: int, s: int) -> WeightedPoly:
             "need s >= r >= 0 with s - r in {1, 3, 5}"
         )
     ring = "classical" if variant == "plain" else "hahn"
-    kind = DivisorKind.PLAIN if variant == "plain" else DivisorKind.TILDE
-    b = boundary_value(kind, s - r)
-    p = gen(ring, "PQR"[(s - r) // 2]).scale(b) + constant(ring, -b)
+    letter = "PQR"[(s - r) // 2]
+    b = boundary_value(*GENERATORS[ring, letter])
+    p = gen(ring, letter).scale(b) + constant(ring, -b)
     rules = _BASE_RULES[ring]
     for _ in range(r):
         p = derive(rules, p).scale(Fraction(1) / rules.scale)
@@ -385,9 +385,7 @@ def eval_as_series(p: WeightedPoly, order: int) -> S.Series:
     only the generators that occur in p are built, each once, and p is
     evaluated on one Kronecker image by series.eval_poly."""
     gens = tuple(
-        (G.hahn(x, order) if p.ring == "hahn" else G.eisenstein("PQR".index(x) + 1, order))
-        if any(e[pos] for e in p.nums)
-        else None
+        G.generator(p.ring, x, order) if any(e[pos] for e in p.nums) else None
         for pos, x in enumerate("PEQR")
     )
     return S.eval_poly(gens, p.nums, order, p.den)

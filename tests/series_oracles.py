@@ -3,7 +3,8 @@
 schoolbook_mul is the integer Cauchy product that series.mul replaced; div is
 integer long division by a unit, which no part of the package needs;
 eval_by_mul is the evaluator of weighted polynomials that
-weighted.eval_as_series replaced, one series.mul per monomial; ratio_chain is
+weighted.eval_as_series replaced by one packed series.eval_poly, one
+series.mul per monomial on the generators.generator series; ratio_chain is
 the ratio recurrence that weighted.ratio_polys replaced, one normalised
 WeightedPoly per product and derivative.
 """
@@ -54,10 +55,11 @@ def div(a: S.Series, b: S.Series) -> S.Series:
 def eval_by_mul(p: WeightedPoly, order: int) -> S.Series:
     """Substitute the generator q-expansions and expand to the given order.
 
-    Only the generators that occur in p are built, each once. Each distinct
-    monomial of degree >= 2 costs one S.mul, as its parent (last nonzero
-    exponent lowered by one) times that generator; the terms are summed on
-    the int numerators and divided by the denominator once.
+    Only the generators that occur in p are built, each once, by
+    generators.generator. Each distinct monomial of degree >= 2 costs one
+    S.mul, as its parent (last nonzero exponent lowered by one) times that
+    generator; the terms are summed on the int numerators and divided by the
+    denominator once.
     """
     table = {(0, 0, 0, 0): S.one(order)}
 
@@ -66,11 +68,7 @@ def eval_by_mul(p: WeightedPoly, order: int) -> S.Series:
             pos = max(q for q, e in enumerate(exps) if e)
             name = "PEQR"[pos]
             if sum(exps) == 1:
-                table[exps] = (
-                    G.hahn(name, order)
-                    if p.ring == "hahn"
-                    else G.eisenstein("PQR".index(name) + 1, order)
-                )
+                table[exps] = G.generator(p.ring, name, order)
             else:
                 parent = exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :]
                 table[exps] = S.mul(monomial(parent), monomial(_GEN_EXPS[name]))

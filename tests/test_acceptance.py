@@ -13,7 +13,7 @@ import mpmath as mp
 
 from qram import series as S
 from qram.divisors import DivisorKind, convolution, divisor_sum, divisor_sum_table
-from qram.generators import eisenstein, family, hahn, phi_series
+from qram.generators import eisenstein, family, phi_series
 from qram.identities import (
     Identity,
     lookup,

@@ -52,6 +52,12 @@ def test_expand_unknown_series(capsys):
     assert "T<even j>" in err or "T" in err
 
 
+def test_expand_hahn_letter_outside_the_table_is_unknown(capsys):
+    code, out, err = run(capsys, "expand", "--series", "hahnX")
+    assert (code, out) == (2, "")
+    assert err.startswith("unknown series name 'hahnX'; valid series names:\n")
+
+
 def test_verify_single_identity(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "ode.P", "--order", "40")
     assert code == 0

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qram import series as S
-from qram.divisors import DivisorKind, boundary_value
+from qram.divisors import GENERATORS, DivisorKind, boundary_value
 from qram.generators import (
-    _HAHN_SPEC,
     MAX_NAME_INDEX,
     eisenstein,
     eps0,
     family,
     fneg,
-    hahn,
+    generator,
     phi_series,
     psi0,
     series_by_name,
@@ -60,28 +59,38 @@ def test_eisenstein_coefficient_formula():
 def test_hahn_expansions_match_signed_divisor_sums():
     spec = {"P": ("tilde", 1, 8), "E": ("hat", 1, 24), "Q": ("tilde", 3, -16), "R": ("tilde", 5, 8)}
     for name, (kind, s, mult) in spec.items():
-        ser = hahn(name, 20)
+        ser = generator("hahn", name, 20)
         assert ser.coeffs[0] == 1
         for n in range(1, 21):
             assert ser.coeffs[n] == mult * sig(kind, s, n)
 
 
 def test_hahn_prefix_frozen():
-    assert list(hahn("P", 4).coeffs) == [1, 8, -8, 32, -40]
-    assert list(hahn("E", 4).coeffs) == [1, 24, 24, 96, 24]
-    assert list(hahn("Q", 4).coeffs) == [1, -16, 112, -448, 1136]
-    assert list(hahn("R", 4).coeffs) == [1, 8, -248, 1952, -8440]
+    assert list(generator("hahn", "P", 4).coeffs) == [1, 8, -8, 32, -40]
+    assert list(generator("hahn", "E", 4).coeffs) == [1, 24, 24, 96, 24]
+    assert list(generator("hahn", "Q", 4).coeffs) == [1, -16, 112, -448, 1136]
+    assert list(generator("hahn", "R", 4).coeffs) == [1, 8, -248, 1952, -8440]
 
 
 @pytest.mark.parametrize("order", [0, 1, 70, 300])
 def test_unit_lambert_matches_the_series_arithmetic(order):
     # one pass over the sieve against 1 + (1/b) * lambert, b the boundary value
-    specs = [(eisenstein, k, DivisorKind.PLAIN, 2 * k - 1) for k in range(1, 8)]
-    specs += [(hahn, name, *_HAHN_SPEC[name]) for name in "PEQR"]
-    for build, arg, kind, s in specs:
+    specs = [((k,), DivisorKind.PLAIN, 2 * k - 1) for k in range(1, 8)]  # E_2..E_14
+    specs += [(pair, *GENERATORS[pair]) for pair in GENERATORS]
+    for args, kind, s in specs:
         c = 1 / boundary_value(kind, s)
         want = S.add(S.one(order), S.scale(c, S.lambert(kind, s, order)))
-        assert build(arg, order) == want
+        build = eisenstein if len(args) == 1 else generator
+        assert build(*args, order) == want
+    for k, x in enumerate("PQR", 1):
+        assert generator("classical", x, order) == eisenstein(k, order)
+
+
+def test_generator_outside_the_table_is_a_key_error():
+    with pytest.raises(KeyError):
+        generator("classical", "E", 4)
+    with pytest.raises(KeyError, match="unknown series name 'hahnX'"):
+        series_by_name("hahnX", 4)
 
 
 def test_family_T_exponents_and_weights():
@@ -167,7 +176,8 @@ def test_phi_series_spec_example():
 def test_series_by_name_all_shapes():
     assert series_by_name("P", 6) == eisenstein(1, 6)
     assert series_by_name("E8", 6) == eisenstein(4, 6)
-    assert series_by_name("hahnQ", 6) == hahn("Q", 6)
+    assert series_by_name("hahnQ", 6) == generator("hahn", "Q", 6)
+    assert series_by_name("R", 6) == generator("classical", "R", 6)
     assert series_by_name("T4", 8) == family("T", 4, 8)
     assert series_by_name("eps3", 8) == family("eps", 3, 8)
     assert series_by_name("psi6", 8) == family("psi", 6, 8)

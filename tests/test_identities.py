@@ -7,7 +7,7 @@ import pytest
 from qram import generators as G
 from qram import series as S
 from qram.divisors import DivisorKind, divisor_sum
-from qram.generators import eisenstein, hahn
+from qram.generators import eisenstein, generator
 from qram.numeric import SPECIALS
 from qram.identities import (
     Identity,
@@ -243,9 +243,9 @@ def test_unknown_domain_is_rejected_at_construction():
 
 
 def _doubling(c, sign, letter, k):
-    """c (sign * side + k * hahn(letter)), the scalar map from a lemma1 side."""
+    """c (sign * side + k * hahn letter), the scalar map from a lemma1 side."""
     return lambda side, n: S.scale(
-        c, S.add(S.scale(sign, side), S.scale(k, hahn(letter, n)))
+        c, S.add(S.scale(sign, side), S.scale(k, generator("hahn", letter, n)))
     )
 
 
@@ -374,4 +374,4 @@ def test_no_side_builds_a_generator_twice(builds):
 
 def test_r_eq_eq_multiplies_e_and_q(builds):
     lookup("hahn.R_eq_EQ").rhs(30)
-    assert sorted(builds) == [("hahn", ("E", 30)), ("hahn", ("Q", 30))]
+    assert sorted(builds) == [("generator", ("hahn", "E", 30)), ("generator", ("hahn", "Q", 30))]

@@ -92,7 +92,7 @@ def test_catalogue_contents():
 
 
 def test_generator_scalars_are_the_boundary_reciprocals():
-    # the six generator values scale their sums as generators.eisenstein/hahn
+    # the six generator values scale their sums as generators.generator does
     pairs = {
         "hahn.P": (TILDE, 1, 8),
         "hahn.E": (HAT, 1, 24),

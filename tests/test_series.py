@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qram import series as S
 from qram.divisors import DivisorKind, divisor_sum_table
-from qram.generators import eps0, fneg, hahn
+from qram.generators import eps0, fneg, generator
 from series_oracles import div, schoolbook_mul
 
 rationals = st.fractions(
@@ -335,7 +335,7 @@ def test_frozen_quotient_eps_by_eps_of_q_squared():
 
 
 def test_to_text_and_json():
-    h = S.truncate(hahn("P", 3), 3)
+    h = S.truncate(generator("hahn", "P", 3), 3)
     assert S.to_text(h) == "1 + 8q - 8q^2 + 32q^3"
     js = h.to_json()
     assert js == {"order": 3, "coeffs": ["1", "8", "-8", "32"]}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qram import generators as G
 from qram import series as S
-from qram.generators import eisenstein, family, hahn
+from qram.generators import eisenstein, family, generator
 from qram.weighted import (
     CLASSICAL_RULES,
     HAHN_RULES,
@@ -396,31 +396,37 @@ def test_eval_bridge_reproduces_family_members():
 
 def test_eval_as_series_generators():
     assert eval_as_series(gen("classical", "P"), 20) == eisenstein(1, 20)
-    assert eval_as_series(gen("hahn", "Q"), 20) == hahn("Q", 20)
+    assert eval_as_series(gen("hahn", "Q"), 20) == generator("hahn", "Q", 20)
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Every G.eisenstein and G.hahn call, as (name, args), in call order."""
-    log = []
-    for name in ("eisenstein", "hahn"):
-        def record(*args, _name=name, _build=getattr(G, name)):
-            log.append((_name, args))
-            return _build(*args)
+    """Every G.generator call's (ring, letter, order), in call order."""
+    log, build = [], G.generator
 
-        monkeypatch.setattr(G, name, record)
+    def record(*args):
+        log.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(G, "generator", record)
     return log
 
 
 def test_eval_as_series_builds_only_the_generators_it_uses(builds):
     q = gen("classical", "Q")
     got = eval_as_series(q * q, 30)
-    assert builds == [("eisenstein", (2, 30))]
+    assert builds == [("classical", "Q", 30)]
     assert got == S.mul(eisenstein(2, 30), eisenstein(2, 30))
     builds.clear()
     e, r = gen("hahn", "E"), gen("hahn", "R")
     eval_as_series((e**4).scale(15) - (e * r).scale(30), 30)
-    assert sorted(builds) == [("hahn", ("E", 30)), ("hahn", ("R", 30))]
+    assert sorted(builds) == [("hahn", "E", 30), ("hahn", "R", 30)]
+
+
+@pytest.mark.parametrize("ring, letter", [("hahn", "X"), ("classical", "E")])
+def test_gen_rejects_a_letter_outside_the_ring(ring, letter):
+    with pytest.raises(ValueError, match=f"no generator '{letter}' in the '{ring}' ring"):
+        gen(ring, letter)
 
 
 @st.composite
