@@ -75,13 +75,12 @@ def test_hahn_prefix_frozen():
 @pytest.mark.parametrize("order", [0, 1, 70, 300])
 def test_unit_lambert_matches_the_series_arithmetic(order):
     # one pass over the sieve against 1 + (1/b) * lambert, b the boundary value
-    specs = [((k,), DivisorKind.PLAIN, 2 * k - 1) for k in range(1, 8)]  # E_2..E_14
-    specs += [(pair, *GENERATORS[pair]) for pair in GENERATORS]
-    for args, kind, s in specs:
+    specs = [(lambda n, k=k: eisenstein(k, n), DivisorKind.PLAIN, 2 * k - 1) for k in range(1, 8)]
+    specs += [(lambda n, pair=pair: generator(*pair, n), *GENERATORS[pair]) for pair in GENERATORS]
+    for build, kind, s in specs:
         c = 1 / boundary_value(kind, s)
         want = S.add(S.one(order), S.scale(c, S.lambert(kind, s, order)))
-        build = eisenstein if len(args) == 1 else generator
-        assert build(*args, order) == want
+        assert build(order) == want
     for k, x in enumerate("PQR", 1):
         assert generator("classical", x, order) == eisenstein(k, order)
 

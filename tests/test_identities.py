@@ -243,7 +243,8 @@ def test_unknown_domain_is_rejected_at_construction():
 
 
 def _doubling(c, sign, letter, k):
-    """c (sign * side + k * hahn letter), the scalar map from a lemma1 side."""
+    """c (sign * side + k * X), X the hahn generator letter: the scalar map from
+    a lemma1 side."""
     return lambda side, n: S.scale(
         c, S.add(S.scale(sign, side), S.scale(k, generator("hahn", letter, n)))
     )
