@@ -22,10 +22,10 @@ seven generators of the two rings by their (flavor, s).
 divisor_sum_table sieves a whole table additively; pointwise_tables factors
 every n with a smallest-prime-factor sieve and builds each weight and flavor
 multiplicatively from the prime powers, so that each checks the other, and
-divisor_sum's trial division checks both. convolution() is the brute-force
-oracle for the convolution identities: a literal sum over all compositions
-i_1 + ... + i_k = n of products of divisor sums, using the boundary values at
-argument 0.
+divisor_sum's trial division checks both; lambert() is the double Lambert
+series on a sieved table. convolution() is the brute-force oracle for the
+convolution identities: a literal sum over all compositions i_1 + ... + i_k
+= n of products of divisor sums, using the boundary values at argument 0.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
+
+from . import series as S
 
 
 class DivisorKind(enum.Enum):
@@ -170,6 +172,23 @@ def divisor_sum_table(kind: DivisorKind, s: int, n_max: int) -> list[int]:
     return table
 
 
+def lambert(kind: DivisorKind, r: int, s: int, n_max: int) -> S.Series:
+    """sum_{m,d>=1} sgn m^r d^s q^(md) to order n_max, for r, s >= 0: the
+    q^n coefficient sums sgn d^s (n/d)^r over d | n, with sgn (-1)^(d-1) for
+    TILDE, (-1)^(n/d-1) for HAT and 1 for PLAIN, and the constant term is 0.
+    As d^s (n/d)^r = n^r d^(s-r), that is n^r sigma_{s-r}(n) in kind's flavor
+    for s >= r, and n^s sigma_{r-s}(n) over the codivisors n/d for s < r,
+    where the sign rides the codivisor, so TILDE and HAT swap.
+    """
+    lo = min(r, s)
+    if s < r and kind is not DivisorKind.PLAIN:
+        kind = DivisorKind.HAT if kind is DivisorKind.TILDE else DivisorKind.TILDE
+    table = divisor_sum_table(kind, abs(s - r), n_max)
+    if lo:
+        table = [n**lo * v for n, v in enumerate(table)]
+    return S.Series(tuple(table))
+
+
 def pointwise_tables(pairs: list[tuple[DivisorKind, int]], n_max: int) -> list[list[int]]:
     """[sigma_s(0..n_max)] for each (kind, s) of pairs, laid out as
     divisor_sum_table's (index 0 holds 0), from a factorisation of each n.
@@ -239,8 +258,6 @@ def convolution_sequence(sums: dict[tuple[tuple[DivisorKind, int], ...], int], n
     whole sum on one Kronecker image. Agrees coefficientwise with
     convolution().
     """
-    from . import series as S  # series imports this module
-
     if not sums or not all(sums):
         raise ValueError("convolution_sequence: empty term list")
     pairs = list(dict.fromkeys(pair for terms in sums for pair in terms))

@@ -10,8 +10,7 @@ Phi~_{r,s}.
 Two shapes cover them. The families and f(a, b) are theta sums on quadratic
 exponents, all placed by one kernel, _theta_sum. The rest are Lambert series
 on the sieved divisor sums: the generators scale theirs to constant term 1
-(_unit_lambert), and Phi_{r,s} is series.lambert raised by the q d/dq
-recurrence.
+(_unit_lambert), and Phi_{r,s} is divisors.lambert.
 
 All builders take an explicit truncation order and return exact Series.
 """
@@ -22,7 +21,7 @@ import re
 from itertools import count
 
 from . import series as S
-from .divisors import GENERATORS, DivisorKind, boundary_value, divisor_sum_table
+from .divisors import GENERATORS, DivisorKind, boundary_value, divisor_sum_table, lambert
 
 
 def _unit_lambert(kind: DivisorKind, s: int, order: int) -> S.Series:
@@ -137,26 +136,17 @@ def phi_series(variant: str, r: int, s: int, order: int) -> S.Series:
 
     plain: sgn = 1, coefficient of q^n is sum_{d|n} (n/d)^r d^s.
     tilde: sgn = (-1)^(d-1), so the alternating sign rides the index carrying
-    the s-th power; then q d/dq Phi~_{r,s} = Phi~_{r+1,s+1} and Phi~_{0,s} is
-    the sigma~_s Lambert series.
+    the s-th power; Phi~_{0,s} is the sigma~_s Lambert series.
 
-    Built by that recurrence, which holds for both variants: min(r, s)
-    applications of q d/dq to the Lambert series of sigma_{|s-r|} in the
-    right flavor (for tilde with s < r the sign lands on the codivisor, the
-    HAT flavor). The literal double sum is the test oracle.
+    Both are divisors.lambert(PLAIN or TILDE, r, s, order), which swaps the
+    flavor for s < r; the literal double sum is the test oracle.
     """
     if variant not in ("plain", "tilde"):
         raise ValueError("phi_series: variant must be plain or tilde")
     if r < 0 or s < 0:
         raise ValueError("phi_series: r and s must be nonnegative")
-    if variant == "plain":
-        kind = DivisorKind.PLAIN
-    else:
-        kind = DivisorKind.TILDE if s >= r else DivisorKind.HAT
-    out = S.lambert(kind, abs(s - r), order)
-    for _ in range(min(r, s)):
-        out = S.euler_op(out)
-    return out
+    kind = DivisorKind.PLAIN if variant == "plain" else DivisorKind.TILDE
+    return lambert(kind, r, s, order)
 
 
 # named theta specializations

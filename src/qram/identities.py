@@ -34,6 +34,7 @@ from .divisors import (
     boundary_value,
     convolution_sequence,
     divisor_sum_table,
+    lambert,
     pointwise_tables,
 )
 from .record import Record
@@ -124,6 +125,8 @@ def _fmt(v) -> str:
 
 
 def _eis(k):
+    if k <= 3:  # P, Q, R built as eval_as_series builds them
+        return lambda n: G.generator("classical", "PQR"[k - 1], n)
     return lambda n: G.eisenstein(k, n)
 
 
@@ -178,7 +181,7 @@ def _parity_reduction(kind: DivisorKind, c: Callable[[int], int]):
     weights = (1, 3, 5)
 
     def reduced(s: int, n_max: int) -> S.Series:
-        plain = S.lambert(PLAIN, s, n_max)
+        plain = lambert(PLAIN, 0, s, n_max)
         return S.sub(plain, S.scale(c(s), S.substitute_power(plain, 2)))
 
     return (
@@ -414,8 +417,8 @@ def _series_identities() -> list[Identity]:
         "sigma.two_hat",
         "sigma(n) + sigma~(n) = 2 sigma^(n), as Lambert series",
         "parity identity on divisor sums",
-        lambda n: S.add(S.lambert(PLAIN, 1, n), S.lambert(TILDE, 1, n)),
-        lambda n: S.scale(2, S.lambert(HAT, 1, n)),
+        lambda n: S.add(lambert(PLAIN, 0, 1, n), lambert(TILDE, 0, 1, n)),
+        lambda n: S.scale(2, lambert(HAT, 0, 1, n)),
     )
     return ids
 

@@ -36,10 +36,10 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Optional
 
-from .divisors import GENERATORS, DivisorKind, boundary_value, divisor_sum_table
+from .divisors import GENERATORS, DivisorKind, boundary_value, lambert
 from .record import Record
 
-PLAIN, TILDE, HAT = DivisorKind.PLAIN, DivisorKind.TILDE, DivisorKind.HAT
+TILDE, HAT = DivisorKind.TILDE, DivisorKind.HAT
 
 _GUARD_BITS = 64
 _STOP_MARGIN = 16
@@ -435,16 +435,11 @@ def _lambert_coefficients(kind: DivisorKind, r: int, s: int, n: int, m_max: int)
 
     c_m sums d^s (m/d)^r over the divisors d <= n of m, signed by (-1)^(d-1)
     for TILDE and by (-1)^(m/d-1) for HAT, since there
-    A(y) = -A_r(-y) = sum_k (-1)^(k-1) k^r y^k. As d^s (m/d)^r = m^r d^(s-r),
-    for s >= r that is m^r sigma_{s-r}(m) in the same flavor; for s < r it is
-    m^s sigma_{r-s}(m) summed over the codivisors m/d, which swaps the TILDE
-    and HAT signs. The divisors d > n are then taken out again.
+    A(y) = -A_r(-y) = sum_k (-1)^(k-1) k^r y^k. Over all divisors of m that is
+    the q^m coefficient of divisors.lambert(kind, r, s, m_max); the divisors
+    d > n are then taken out again.
     """
-    lo, hi = min(r, s), max(r, s)
-    flavor = kind if s >= r or kind is PLAIN else (HAT if kind is TILDE else TILDE)
-    c = divisor_sum_table(flavor, hi - lo, m_max)
-    if lo:
-        c = [m**lo * v for m, v in enumerate(c)]
+    c = list(lambert(kind, r, s, m_max).nums)
     for d in range(n + 1, m_max + 1):
         ds = -(d**s) if kind is TILDE and d % 2 == 0 else d**s
         for k in range(1, m_max // d + 1):

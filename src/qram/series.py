@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .divisors import DivisorKind, divisor_sum_table
 from .record import Record
 
 
@@ -264,14 +263,6 @@ def shift(a: Series, m: int) -> Series:
     if m < 0:
         raise ValueError("shift: m must be nonnegative")
     return Series((0,) * m + a.nums, a.den)
-
-
-def lambert(kind: DivisorKind, s: int, order: int) -> Series:
-    """sum_{n>=1} sigma_s(n) q^n in the requested flavor, no constant term.
-
-    Equals sum_k k^s q^k/(1 -+ q^k) expanded; generated from divisor sums.
-    """
-    return Series((0,) + tuple(divisor_sum_table(kind, s, order)[1:]))
 
 
 def product_expansion(

@@ -16,6 +16,7 @@ from qram.divisors import (
     convolution_sequence,
     divisor_sum,
     divisor_sum_table,
+    lambert,
     pointwise_tables,
 )
 from qram import series as S
@@ -61,6 +62,31 @@ def test_sieve_table_matches_pointwise_everywhere():
             table = divisor_sum_table(kind, s, n_max)
             assert table[0] == 0
             assert table[1:] == [divisor_sum(kind, s, n) for n in range(1, n_max + 1)]
+
+
+def test_lambert_matches_divisor_tables():
+    # every flavor and r, s against the literal double loop over d | n, with
+    # the sign on d (tilde) or n/d (hat); at r = 0 the sieved table itself
+    n_max = 30
+    for kind in KINDS:
+        for r in range(4):
+            for s in range(8):
+                ser = lambert(kind, r, s, n_max)
+                assert ser.order == n_max
+                assert ser.coeffs[0] == 0  # no boundary constant in the Lambert sum
+                for n in range(1, n_max + 1):
+                    want = 0
+                    for d in range(1, n + 1):
+                        if n % d:
+                            continue
+                        term = d**s * (n // d) ** r
+                        if kind is TILDE and d % 2 == 0 or kind is HAT and (n // d) % 2 == 0:
+                            term = -term
+                        want += term
+                    assert ser.coeffs[n] == want
+                if r == 0:
+                    table = divisor_sum_table(kind, s, n_max)
+                    assert all(ser.coeffs[n] == table[n] for n in range(1, n_max + 1))
 
 
 def test_pointwise_tables_match_trial_division_everywhere():
@@ -119,7 +145,7 @@ def test_convolution_sequence_powers_match_the_plain_product(terms):
     # and as the brute-force convolution at each n
     n_max = 30
     factors = [
-        S.add(S.monomial(boundary_value(kind, s), 0, n_max), S.lambert(kind, s, n_max))
+        S.add(S.monomial(boundary_value(kind, s), 0, n_max), lambert(kind, 0, s, n_max))
         for kind, s in terms
     ]
     seq = convolution_sequence({tuple(terms): 1}, n_max)

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qram import series as S
-from qram.divisors import DivisorKind, divisor_sum_table
 from qram.generators import eps0, fneg, generator
 from series_oracles import div, schoolbook_mul
 
@@ -265,15 +264,6 @@ def test_add_truncates_to_min_order():
     b = S.one(4)
     assert S.add(a, b).order == 4
     assert S.mul(a, b).order == 4
-
-
-def test_lambert_matches_divisor_tables():
-    for kind in DivisorKind:
-        for s in (1, 3, 5):
-            ser = S.lambert(kind, s, 30)
-            table = divisor_sum_table(kind, s, 30)
-            assert ser.coeffs[0] == 0  # no boundary constant in the Lambert sum
-            assert all(ser.coeffs[n] == table[n] for n in range(1, 31))
 
 
 def test_product_expansion_pentagonal():
